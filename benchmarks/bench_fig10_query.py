@@ -93,7 +93,7 @@ def test_fig10_claim_csc_faster_on_high_cluster(
 
 
 # ---------------------------------------------------------------------------
-# Bulk (vectorized) query path
+# Bulk (deduplicated batch) query path
 # ---------------------------------------------------------------------------
 
 BULK_BATCH = 1000
@@ -119,16 +119,8 @@ def bulk_workload(clusters, dataset_graph):
     return hot_vs, hot_pairs
 
 
-def _require_numpy():
-    from repro.core.bulk import numpy_available
-
-    if not numpy_available():
-        pytest.skip("bulk fast path needs NumPy")
-
-
 def test_fig10_csc_bulk_sccnt(benchmark, csc_index, bulk_workload,
                               dataset_name):
-    _require_numpy()
     hot_vs, _ = bulk_workload
     # Never time a divergent kernel.
     assert csc_index.sccnt_many(hot_vs) == [
@@ -140,7 +132,6 @@ def test_fig10_csc_bulk_sccnt(benchmark, csc_index, bulk_workload,
 
 def test_fig10_csc_bulk_spcnt(benchmark, csc_index, bulk_workload,
                               dataset_name):
-    _require_numpy()
     _, hot_pairs = bulk_workload
     assert csc_index.spcnt_many(hot_pairs) == [
         csc_index.spcnt(x, y) for x, y in hot_pairs

@@ -57,7 +57,6 @@ from repro.core.batch import (  # noqa: E402
     DEFAULT_REBUILD_THRESHOLD,
     apply_batch,
 )
-from repro.core.bulk import numpy_available  # noqa: E402
 from repro.core.csc import CSCIndex  # noqa: E402
 from repro.core.legacy_labels import legacy_sccnt  # noqa: E402
 from repro.core.maintenance import delete_edge, insert_edge  # noqa: E402
@@ -140,8 +139,8 @@ def _bench_bulk(index, graph, vertices, batch: int, repeat: int):
       cluster workload (vertices, and a bounded monitored-pair
       population for SPCnt), the shape ``drive_mixed`` readers produce:
       a serving tier re-answering a working set far smaller than the
-      batch.  This is the gated headline — batch dedup plus the
-      vectorized join amortize to a large factor.
+      batch.  This is the gated headline — batch dedup answers each
+      distinct query once, which amortizes to a large factor.
     * **distinct** — SPCnt pairs drawn uniformly over the whole graph,
       so nearly every pair is unique and dedup cannot help.  Reported
       alongside so the committed numbers say what the optimization does
@@ -260,7 +259,7 @@ def bench_queries(profile: str, datasets, per_cluster: int, repeat: int,
             },
             "speedup_vs_legacy": legacy_ns / packed_ns if packed_ns else 0.0,
         }
-        if bulk_batch and numpy_available():
+        if bulk_batch:
             # Bulk rounds are sub-millisecond on the smoke profile;
             # best-of-2 there is timer noise, so floor the repeats.
             bulk = _bench_bulk(index, graph, vertices, bulk_batch,
@@ -487,9 +486,9 @@ def main(argv=None) -> int:
     per_cluster = 10 if args.smoke else 40
     repeat = args.repeat or (2 if args.smoke else 5)
     batch_size = 4 if args.smoke else 15
-    # The bulk batch stays large even in smoke: the vectorized path has
-    # a fixed per-call cost, so tiny batches measure overhead (a ratio
-    # uselessly close to 1x), and short rounds are timer noise.
+    # The bulk batch stays large even in smoke: tiny batches hold few
+    # repeats for dedup to save (a ratio uselessly close to 1x), and
+    # short rounds are timer noise.
     bulk_batch = 4000
 
     meta = {

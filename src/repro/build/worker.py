@@ -45,20 +45,13 @@ message     payload                                       reply
 ``extend``  ``(rpls_in, rpls_out)`` packed label bytes    —
 ``run``     ``[(rank, hub_vertex), ...]``                 ``result``
 ``repair``  ``[(forward, rank, hub_vertex), ...]``        ``result``
-``qinit``   ``(order, rpls_in, rpls_out)`` frozen labels  ``ready``
-``query``   ``(kind, items)`` bulk-query chunk            ``result``
 ``quit``    —                                             —
 ``_test``   ``"exit"`` / ``"raise"`` (crash injection)    —
 ==========  ============================================  =============
 
 ``run`` serves the builder (both sides per hub, visited lists
 dropped); ``repair`` serves BATCH-DECCNT (one side per task, visited
-lists shipped back for the committer's conflict check).  ``qinit`` /
-``query`` serve bulk-query fan-out (:mod:`repro.core.bulk`): the
-frozen stores arrive in the RPLS per-vertex memcpy format, the worker
-rebuilds a query-only index replica and answers each ``query`` chunk
-with the same bulk kernels the master uses in-process (``kind`` is
-``"sccnt"`` or ``"spcnt"``).
+lists shipped back for the committer's conflict check).
 
 Any exception is shipped back as ``("error", traceback)`` before the
 worker exits; a vanished worker is detected by the master as an
@@ -368,7 +361,6 @@ def worker_main(conn) -> None:
     label_out: list[list[Entry]] = []
     dist: list[int] = []
     cnt: list[int] = []
-    qindex = None  # bulk-query replica, built by "qinit"
     try:
         while True:
             try:
@@ -409,33 +401,6 @@ def worker_main(conn) -> None:
                     )
                     repairs.append((ph, forward, entries, visited))
                 conn.send(("result", repairs))
-            elif tag == "qinit":
-                # Bulk-query replica: rebuild the frozen stores from
-                # their RPLS blobs (one memcpy per vertex) around a
-                # topology-free graph shell — the query kernels only
-                # touch labels, never adjacency.
-                from repro.core.csc import CSCIndex
-                from repro.graph.digraph import DiGraph
-                from repro.labeling.ordering import positions
-
-                order = msg[1]
-                qindex = CSCIndex(
-                    DiGraph(len(order)),
-                    order,
-                    positions(order),
-                    LabelStore.from_bytes(msg[2]),
-                    LabelStore.from_bytes(msg[3]),
-                )
-                conn.send(("ready",))
-            elif tag == "query":
-                from repro.core.bulk import sccnt_many, spcnt_many
-
-                kind, items = msg[1], msg[2]
-                if kind == "sccnt":
-                    answers = sccnt_many(qindex, items)
-                else:
-                    answers = spcnt_many(qindex, items)
-                conn.send(("result", answers))
             elif tag == "quit":
                 return
             elif tag == "_test":

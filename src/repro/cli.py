@@ -7,8 +7,8 @@ Commands
   (optionally with the multi-process wave builder) and persist it;
 * ``query <index> <vertex> [vertex ...]`` — SCCnt queries over a saved
   index; ``--batch FILE`` reads a whole query batch (one vertex per
-  line for SCCnt, two for SPCnt pairs) and answers it through the
-  vectorized bulk kernels;
+  line for SCCnt, two for SPCnt pairs) and answers it in one batch
+  call (``count_many`` / ``spcnt_many``);
 * ``profile <edgelist>`` — whole-graph cycle profile (girth, length
   distribution, top vertices);
 * ``batch-update <edgelist>`` — replay a mixed update stream through the
@@ -76,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("index")
     p.add_argument("vertices", nargs="*", type=int)
     p.add_argument("--batch", default=None, metavar="FILE",
-                   help="answer a batch file via the bulk kernels: one "
+                   help="answer a batch file in one batch call: one "
                         "vertex id per line = SCCnt, two ids per line = "
                         "SPCnt pairs (uniform within the file; blank "
                         "lines and #-comments ignored)")
@@ -272,7 +272,7 @@ def _cmd_query(args) -> int:
 
 
 def _query_batch(counter: ShortestCycleCounter, path: str) -> int:
-    """Answer a batch file through the bulk kernels (1 id per line =
+    """Answer a batch file in one batch call (1 id per line =
     SCCnt, 2 ids = SPCnt pairs; arity must be uniform)."""
     from repro.errors import BatchVertexError
 

@@ -17,8 +17,8 @@ The WAL **is** the replication transport: the primary's
 log-before-publish discipline (PR 4) means the log is a complete,
 durable, framed description of every published epoch, so replicas need
 no second channel — they bootstrap from the newest checkpoint via
-:func:`repro.persist.recover` (RPLS per-vertex bytes, the PR 8
-zero-copy transport) and stream the suffix with a
+:func:`repro.persist.recover` (RPLS per-vertex bytes, one memcpy per
+vertex) and stream the suffix with a
 :class:`~repro.persist.WalTailer`.
 
 Consistency: every replica epoch is bit-identical to the primary's

@@ -96,13 +96,10 @@ class ShortestCycleCounter:
         """Number and length of the shortest cycles through ``v``."""
         return self._index.sccnt(v)
 
-    def count_many(
-        self, vertices: Sequence[int], *, workers: int | None = None
-    ) -> list[CycleCount]:
-        """Batch form of :meth:`count` (vectorized when NumPy is
-        available, bit-identical to a scalar loop either way;
-        ``workers > 1`` fans the batch out across the build pool)."""
-        return self._index.sccnt_many(vertices, workers=workers)
+    def count_many(self, vertices: Sequence[int]) -> list[CycleCount]:
+        """Batch form of :meth:`count` (each distinct id answered once,
+        bit-identical to a scalar loop)."""
+        return self._index.sccnt_many(vertices)
 
     def sccnt(self, v: int) -> CycleCount:
         """:class:`~repro.service.QueryAPI` spelling of :meth:`count`
@@ -126,14 +123,11 @@ class ShortestCycleCounter:
         return self._index.spcnt(x, y)
 
     def spcnt_many(
-        self,
-        pairs: Sequence[tuple[int, int]],
-        *,
-        workers: int | None = None,
+        self, pairs: Sequence[tuple[int, int]]
     ) -> list[PathCount]:
         """Batch form of :meth:`spcnt` (same contract as
         :meth:`count_many`)."""
-        return self._index.spcnt_many(pairs, workers=workers)
+        return self._index.spcnt_many(pairs)
 
     def snapshot(self, epoch: int = 0, ops_applied: int = 0) -> Snapshot:
         """An immutable, epoch-stamped view of the current state.

@@ -43,8 +43,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from collections.abc import Sequence
+from operator import index as _as_int
 
-from repro.errors import SerializationError, StaleLabelError
+from repro.errors import BatchVertexError, SerializationError, StaleLabelError
 from repro.graph.digraph import DiGraph
 from repro.labeling.hpspc import UNREACHED
 from repro.labeling.labelstore import (
@@ -63,6 +64,9 @@ Entry = tuple[int, int, int, bool]
 
 _INDEX_MAGIC = b"RPCI"
 _INDEX_VERSION = 1
+
+_STALE = ("labels have deferred-repair tombstones; query a clean "
+          "snapshot until the background repair completes")
 
 
 class CSCIndex:
@@ -244,10 +248,7 @@ class CSCIndex:
         ``Gb`` distance ``d`` maps to cycle length ``(d + 1) / 2``.
         """
         if self.store_in._stale or self.store_out._stale:
-            raise StaleLabelError(
-                "labels have deferred-repair tombstones; query a clean "
-                "snapshot until the background repair completes"
-            )
+            raise StaleLabelError(_STALE)
         # Iterate the smaller side's distance-sorted view, probe the
         # larger side's {hub: dist} dict (counts fetched only on
         # improve/tie); stop once the sorted distance passes the best sum
@@ -297,10 +298,7 @@ class CSCIndex:
         cycle queries stay :meth:`sccnt`.
         """
         if self.store_in._stale or self.store_out._stale:
-            raise StaleLabelError(
-                "labels have deferred-repair tombstones; query a clean "
-                "snapshot until the background repair completes"
-            )
+            raise StaleLabelError(_STALE)
         if x == y:
             return PathCount(1, 0)
         my = self._qmaps_in[y]
@@ -329,34 +327,47 @@ class CSCIndex:
             return NO_PATH
         return PathCount(total, best // 2)
 
-    def sccnt_many(
-        self,
-        vertices: Sequence[int],
-        *,
-        workers: int | None = None,
-    ) -> list[CycleCount]:
-        """Batched :meth:`sccnt` — bit-identical to the scalar loop,
-        evaluated through the vectorized NumPy backend when available
-        (scalar fallback otherwise).  Validates the whole batch up front
-        (:class:`~repro.errors.BatchVertexError` names every offending
-        index; no partial results) and refuses tombstoned stores with
-        :class:`~repro.errors.StaleLabelError` like the scalar path.
-        ``workers > 1`` fans the batch out across the build pool, the
-        frozen stores crossing the pipes as RPLS per-vertex bytes.
+    def sccnt_many(self, vertices: Sequence[int]) -> list[CycleCount]:
+        """Batched :meth:`sccnt` — bit-identical to the scalar loop.
+
+        Validates the whole batch before answering anything
+        (:class:`~repro.errors.StaleLabelError` on tombstoned stores,
+        ``operator.index`` coercion, one
+        :class:`~repro.errors.BatchVertexError` naming every out-of-range
+        ``(position, id)``), then answers each distinct id once through
+        :meth:`sccnt`: SCCnt is a pure function of the id, and batched
+        serving traffic repeats hot vertices.
         """
-        from repro.core.bulk import sccnt_many
-        return sccnt_many(self, vertices, workers=workers)
+        self._check_fresh()
+        n = len(self.store_in)
+        vs = [_as_int(v) for v in vertices]
+        bad = [(i, v) for i, v in enumerate(vs) if not 0 <= v < n]
+        if bad:
+            raise BatchVertexError(bad, n)
+        sccnt = self.sccnt
+        memo = {v: sccnt(v) for v in dict.fromkeys(vs)}
+        return [memo[v] for v in vs]
 
     def spcnt_many(
-        self,
-        pairs: Sequence[tuple[int, int]],
-        *,
-        workers: int | None = None,
+        self, pairs: Sequence[tuple[int, int]]
     ) -> list[PathCount]:
         """Batched :meth:`spcnt` over ``(x, y)`` pairs — same contract
-        as :meth:`sccnt_many`."""
-        from repro.core.bulk import spcnt_many
-        return spcnt_many(self, pairs, workers=workers)
+        as :meth:`sccnt_many`, deduplicated per pair."""
+        self._check_fresh()
+        n = len(self.store_in)
+        ps = [(_as_int(x), _as_int(y)) for x, y in pairs]
+        bad = [
+            (i, v) for i, xy in enumerate(ps) for v in xy if not 0 <= v < n
+        ]
+        if bad:
+            raise BatchVertexError(bad, n)
+        spcnt = self.spcnt
+        memo = {p: spcnt(*p) for p in dict.fromkeys(ps)}
+        return [memo[p] for p in ps]
+
+    def _check_fresh(self) -> None:
+        if self.store_in._stale or self.store_out._stale:
+            raise StaleLabelError(_STALE)
 
     def cycle_gb_distance(self, v: int) -> int:
         """Raw ``Gb`` distance of ``SPCnt(v_out, v_in)`` (``UNREACHED`` when

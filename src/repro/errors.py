@@ -50,7 +50,7 @@ class BatchVertexError(VertexError):
 
     Raised by ``sccnt_many`` / ``spcnt_many`` *before any query is
     evaluated* — a bulk call never produces partial results and never
-    surfaces a mid-batch ``IndexError`` from a vectorized gather.
+    surfaces a mid-batch ``IndexError``.
     ``bad`` names every offending ``(batch_index, vertex)`` pair.
     Subclasses :class:`VertexError` (with ``vertex`` set to the first
     offender) so existing single-query handlers keep working.

@@ -121,7 +121,7 @@ class LabelStore:
     """One direction's label table (all vertices) in packed form."""
 
     __slots__ = ("packed", "canon", "big", "_maps", "_bydist", "_dists",
-                 "_frozen", "_epoch", "_owner", "_stale", "_cols")
+                 "_frozen", "_epoch", "_owner", "_stale")
 
     def __init__(self, n: int = 0) -> None:
         self.packed: list[array] = [array("Q") for _ in range(n)]
@@ -143,10 +143,6 @@ class LabelStore:
         # run yet).  In-memory only — never serialized; a store rebuilt
         # from bytes is by construction clean.
         self._stale: frozenset[int] = frozenset()
-        # Lazily built flat-column NumPy projection for the bulk-query
-        # kernels (repro.core.bulk.StoreColumns).  Content-immutable once
-        # built, so snapshots share it; any label mutation drops it.
-        self._cols = None
 
     # ------------------------------------------------------------------
     # Construction / conversion
@@ -232,11 +228,6 @@ class LabelStore:
             snap._bydist = list(self._bydist)
         snap._frozen = True
         snap._stale = self._stale
-        # The column projection describes exactly the captured state (it
-        # is an eager copy of the packed words), so the snapshot can keep
-        # serving from it; the live store drops its own reference on the
-        # next mutation.
-        snap._cols = self._cols
         if not self._frozen:
             # Invalidate all per-vertex ownership: everything is shared
             # with the new snapshot until the writer touches it again.
@@ -254,9 +245,6 @@ class LabelStore:
                 "label store snapshot is frozen; apply updates to the "
                 "live store it was taken from"
             )
-        # Invalidate before the ownership early-return: the caller is
-        # about to mutate v whether or not a copy-on-write is needed.
-        self._cols = None
         owner = self._owner
         if owner is None or owner[v] == self._epoch:
             return
@@ -280,22 +268,8 @@ class LabelStore:
                 "label store snapshot is frozen; apply updates to the "
                 "live store it was taken from"
             )
-        self._cols = None
         if self._owner is not None:
             self._owner[v] = self._epoch
-
-    def cache_columns(self, cols):
-        """Install the bulk-query column projection for this store.
-
-        The projection (:class:`repro.core.bulk.StoreColumns`) is a
-        *cache* derived from the current packed words, not label state,
-        so installing one is permitted on frozen snapshots — that is
-        where bulk queries run.  Every mutating path drops it through
-        :meth:`_own`/:meth:`_claim`; this is the only sanctioned way to
-        set it from outside the store.
-        """
-        self._cols = cols
-        return cols
 
     # ------------------------------------------------------------------
     # Deferred-repair tombstones
@@ -595,7 +569,6 @@ class LabelStore:
                 "live store it was taken from"
             )
         v = len(self.packed)
-        self._cols = None
         self.packed.append(array("Q"))
         self.canon.append(0)
         self.big.append(None)

@@ -20,6 +20,7 @@ pre-batch state when the same deterministic exception fired, and its
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -108,7 +109,20 @@ def recover(
     overrides the insertion-maintenance strategy recorded in the
     checkpoint (leave ``None`` to keep what the data was written with).
     """
-    data_dir = Path(data_dir)
+    # Recovery allocates a large number of long-lived but acyclic label
+    # containers, so every full collection the cyclic GC runs meanwhile
+    # scans the growing heap and frees nothing.  Pause it for the
+    # duration and hand the caller's GC state back unchanged.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _recover(Path(data_dir), strategy)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _recover(data_dir: Path, strategy: str | None) -> RecoveryResult:
     state = CheckpointStore(data_dir / CHECKPOINT_DIR).materialize()
     if state is None:
         raise RecoveryError(

@@ -127,7 +127,7 @@ def drive_mixed(
     Only queries answered before the writer finishes draining count
     toward the reported throughput.  With ``bulk_batch`` set, each
     burst is one :meth:`Snapshot.count_many` call over that many
-    vertices (the vectorized read path) instead of ``_BURST`` scalar
+    vertices (the batched read path) instead of ``_BURST`` scalar
     calls.  ``source`` may be a *not-yet-started* :class:`ServeEngine`
     (so callers can open a durable engine first and generate ``ops``
     against its possibly-recovered graph); a full

@@ -597,7 +597,7 @@ class ServeEngine:
 
     def count_many(self, vertices: Sequence[int]):
         """Batched ``SCCnt`` against the latest published snapshot —
-        one atomic snapshot fetch, then the vectorized bulk kernel
+        one atomic snapshot fetch, then the deduplicated batch query
         (:meth:`Snapshot.count_many`).  Safe from any thread."""
         return self.snapshot().count_many(vertices)
 

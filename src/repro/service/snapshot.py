@@ -81,8 +81,8 @@ class Snapshot:
         return self.index.sccnt(v)
 
     def count_many(self, vertices: Sequence[int]) -> list[CycleCount]:
-        """Batch form of :meth:`count` (vectorized when NumPy is
-        available; raises :class:`~repro.errors.BatchVertexError` — a
+        """Batch form of :meth:`count` (each distinct id answered once;
+        raises :class:`~repro.errors.BatchVertexError` — a
         :class:`VertexError` — naming every out-of-range id)."""
         return self.index.sccnt_many(vertices)
 

@@ -1,11 +1,9 @@
-"""REP002 pass fixture: reads plus the sanctioned cache setter."""
-
-
-def project(store, cols):
-    if store._cols is None:
-        return store.cache_columns(cols)
-    return store._cols
+"""REP002 pass fixture: reads of store state from outside the store."""
 
 
 def peek(store, v):
     return len(store.packed[v])
+
+
+def is_stale(store):
+    return bool(store._stale)

@@ -140,7 +140,7 @@ class TestLayoutDetails:
     def test_layout_bearing_modules_agree_with_spec(self):
         root = Path(__file__).parents[2] / "src" / "repro"
         for rel in ("labeling/packing.py", "labeling/labelstore.py",
-                    "core/bulk.py", "build/worker.py"):
+                    "build/worker.py"):
             tree = ast.parse((root / rel).read_text())
             assert check_layout(tree, rel) == [], rel
 

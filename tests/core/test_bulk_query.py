@@ -1,17 +1,18 @@
-"""Unit tests for the vectorized bulk-query backend (repro.core.bulk).
+"""Unit tests for the batch queries ``CSCIndex.sccnt_many`` /
+``spcnt_many``.
 
-The contract under test is bit-identity: ``sccnt_many`` /
-``spcnt_many`` must return exactly what the scalar kernels return,
-whatever the batch looks like (duplicates, self-pairs, unreachable
-vertices, saturated counts, empty), and must fail *whole-batch* with a
-typed error naming every offender — never a partial result or a
-mid-gather ``IndexError``.
+The contract under test is bit-identity: the batch forms must return
+exactly what the scalar kernels return, whatever the batch looks like
+(duplicates, self-pairs, unreachable vertices, saturated counts, empty),
+must fail *whole-batch* with a typed error naming every offender —
+never a partial result or a mid-batch ``IndexError`` — and must answer
+each distinct query once.
 """
+
+import random
 
 import pytest
 
-import repro.core.bulk as bulk
-from repro.core.bulk import numpy_available, store_columns
 from repro.core.csc import CSCIndex
 from repro.core.maintenance import delete_edge, insert_edge
 from repro.errors import BatchVertexError, StaleLabelError, VertexError
@@ -21,10 +22,6 @@ from repro.labeling.ordering import positions
 from repro.paperdata import figure2_graph
 from repro.types import CycleCount, PathCount
 from tests.conftest import random_digraph
-
-pytestmark = pytest.mark.skipif(
-    not numpy_available(), reason="bulk fast path needs NumPy"
-)
 
 
 @pytest.fixture(scope="module")
@@ -59,8 +56,6 @@ class TestBitIdentity:
         )
 
     def test_spcnt_random_pairs(self, rnd_index):
-        import random
-
         rng = random.Random(3)
         n = rnd_index.graph.n
         pairs = [
@@ -121,16 +116,21 @@ class TestValidation:
         with pytest.raises(TypeError):
             fig2_index.spcnt_many([(0, 1.5)])
 
-    def test_accepts_numpy_integers(self, fig2_index):
-        np = pytest.importorskip("numpy")
-        vs = np.arange(4, dtype=np.int32)
-        assert fig2_index.sccnt_many(vs) == _scalar_sccnt(
-            fig2_index, range(4)
-        )
-        pairs = np.array([[0, 1], [2, 3]], dtype=np.uint16)
-        assert fig2_index.spcnt_many(pairs) == _scalar_spcnt(
-            fig2_index, [(0, 1), (2, 3)]
-        )
+    def test_accepts_index_objects(self, fig2_index):
+        class Id:
+            def __init__(self, v):
+                self.v = v
+
+            def __index__(self):
+                return self.v
+
+        assert fig2_index.sccnt_many([Id(v) for v in range(4)]) == \
+            _scalar_sccnt(fig2_index, range(4))
+        assert fig2_index.spcnt_many([(Id(0), 1), (2, Id(3))]) == \
+            _scalar_spcnt(fig2_index, [(0, 1), (2, 3)])
+        with pytest.raises(BatchVertexError) as exc:
+            fig2_index.sccnt_many([Id(1), Id(99)])
+        assert exc.value.bad == [(1, 99)]
 
 
 class TestStaleness:
@@ -180,11 +180,6 @@ class TestSaturationBoundary:
         pairs = [(1, 0), (0, 1), (1, 1)]
         assert index.spcnt_many(pairs) == _scalar_spcnt(index, pairs)
 
-    def test_saturated_entries_take_redo_path(self):
-        index = _saturated_index(COUNT_SATURATED + 1)
-        cols = store_columns(index.store_in)
-        assert bool(cols.sat.any())
-
     def test_diamond_chain_cycle_beyond_24_bits(self):
         from tests.test_large_counts import diamond_chain
 
@@ -198,62 +193,48 @@ class TestSaturationBoundary:
         assert res[0].count == 2**k
 
 
-class TestScalarFallback:
-    def test_fallback_identical(self, fig2_index, monkeypatch):
-        n = fig2_index.graph.n
-        vs = list(range(n)) + [3, 3]
-        pairs = [(x, y) for x in range(n) for y in range(0, n, 2)]
-        fast_sc = fig2_index.sccnt_many(vs)
-        fast_sp = fig2_index.spcnt_many(pairs)
-        monkeypatch.setattr(bulk, "_np", None)
-        assert not numpy_available()
-        assert fig2_index.sccnt_many(vs) == fast_sc
-        assert fig2_index.spcnt_many(pairs) == fast_sp
+class TestDedup:
+    """Duplicates are answered once: a batch over ``k`` distinct ids
+    costs ``k`` scalar queries, whatever its length."""
 
-    def test_fallback_validation_identical(self, fig2_index, monkeypatch):
-        monkeypatch.setattr(bulk, "_np", None)
-        with pytest.raises(BatchVertexError) as exc:
-            fig2_index.sccnt_many([0, 99, -1])
-        assert exc.value.bad == [(1, 99), (2, -1)]
-        with pytest.raises(TypeError):
-            fig2_index.sccnt_many([1.5])
+    def test_sccnt_kernel_called_once_per_distinct_id(self, monkeypatch):
+        index = CSCIndex.build(random_digraph(40, 160, seed=11))
+        rng = random.Random(4)
+        hot = rng.sample(range(40), 25)
+        vs = [rng.choice(hot) for _ in range(4000)]
+        k = len(set(vs))
+        want = _scalar_sccnt(index, vs)
+        calls = []
+        scalar = CSCIndex.sccnt
 
-    def test_no_numpy_env_gate(self):
-        import subprocess
-        import sys
+        def counting(self, v):
+            calls.append(v)
+            return scalar(self, v)
 
-        code = (
-            "from repro.core.bulk import numpy_available;"
-            "assert not numpy_available();"
-            "from repro.core.csc import CSCIndex;"
-            "from repro.paperdata import figure2_graph;"
-            "i = CSCIndex.build(figure2_graph());"
-            "assert i.sccnt_many([6]) == [i.sccnt(6)];"
-            "print('ok')"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True, text=True,
-            env={"REPRO_NO_NUMPY": "1", "PYTHONPATH": "src",
-                 "PATH": "/usr/bin:/bin"},
-            cwd="/root/repo",
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "ok"
+        monkeypatch.setattr(CSCIndex, "sccnt", counting)
+        assert index.sccnt_many(vs) == want
+        assert len(calls) == k
+        assert sorted(calls) == sorted(set(vs))
+
+    def test_spcnt_kernel_called_once_per_distinct_pair(self, monkeypatch):
+        index = CSCIndex.build(random_digraph(40, 160, seed=11))
+        rng = random.Random(5)
+        hot = [(rng.randrange(40), rng.randrange(40)) for _ in range(30)]
+        pairs = [rng.choice(hot) for _ in range(4000)]
+        want = _scalar_spcnt(index, pairs)
+        calls = []
+        scalar = CSCIndex.spcnt
+
+        def counting(self, x, y):
+            calls.append((x, y))
+            return scalar(self, x, y)
+
+        monkeypatch.setattr(CSCIndex, "spcnt", counting)
+        assert index.spcnt_many(pairs) == want
+        assert len(calls) == len(set(pairs))
 
 
-class TestColumnCache:
-    def test_cache_reused_until_mutation(self, rnd_index):
-        index = CSCIndex.build(random_digraph(12, 40, seed=5))
-        c1 = store_columns(index.store_in)
-        assert store_columns(index.store_in) is c1
-        insert_edge(index, 0, 7) if not index.graph.has_edge(0, 7) \
-            else delete_edge(index, 0, 7)
-        c2 = store_columns(index.store_in)
-        assert c2 is not c1
-        vs = list(range(index.graph.n))
-        assert index.sccnt_many(vs) == _scalar_sccnt(index, vs)
-
+class TestMutations:
     def test_bulk_tracks_mutations(self):
         g = random_digraph(15, 50, seed=9)
         index = CSCIndex.build(g)
@@ -270,7 +251,6 @@ class TestColumnCache:
         g = random_digraph(15, 50, seed=21)
         index = CSCIndex.build(g)
         vs = list(range(g.n))
-        index.sccnt_many(vs)  # warm the column cache
         snap = index.snapshot()
         before = snap.sccnt_many(vs)
         edges = sorted(g.edges())
@@ -281,29 +261,3 @@ class TestColumnCache:
         assert index.sccnt_many(vs) == _scalar_sccnt(index, vs)
         assert snap.sccnt_many(vs) == before
         assert snap.sccnt_many(vs) == [snap.sccnt(v) for v in vs]
-
-
-class TestPooledFanOut:
-    def test_workers_bit_identical(self):
-        g = random_digraph(30, 110, seed=17)
-        index = CSCIndex.build(g)
-        vs = list(range(g.n)) * 3
-        assert index.sccnt_many(vs, workers=2) == _scalar_sccnt(index, vs)
-        import random
-
-        rng = random.Random(1)
-        pairs = [
-            (rng.randrange(g.n), rng.randrange(g.n)) for _ in range(90)
-        ]
-        assert index.spcnt_many(pairs, workers=2) == _scalar_spcnt(
-            index, pairs
-        )
-
-    def test_rpls_roundtrip_preserves_store(self):
-        g = random_digraph(20, 70, seed=2)
-        index = CSCIndex.build(g)
-        clone = LabelStore.from_bytes(index.store_in.to_bytes())
-        assert clone.to_lists() == index.store_in.to_lists()
-        assert [clone.vertex_to_bytes(v) for v in range(g.n)] == [
-            index.store_in.vertex_to_bytes(v) for v in range(g.n)
-        ]

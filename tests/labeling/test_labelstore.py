@@ -44,6 +44,18 @@ class TestRoundTrip:
         assert again.to_lists() == SAMPLE
         assert store.eq_entries(again)
 
+    def test_rpls_roundtrip_preserves_store(self):
+        from repro.core.csc import CSCIndex
+        from tests.conftest import random_digraph
+
+        g = random_digraph(20, 70, seed=2)
+        index = CSCIndex.build(g)
+        clone = LabelStore.from_bytes(index.store_in.to_bytes())
+        assert clone.to_lists() == index.store_in.to_lists()
+        assert [clone.vertex_to_bytes(v) for v in range(g.n)] == [
+            index.store_in.vertex_to_bytes(v) for v in range(g.n)
+        ]
+
     def test_bytes_round_trip_empty(self):
         store = LabelStore.from_lists([])
         assert LabelStore.from_bytes(store.to_bytes()).to_lists() == []

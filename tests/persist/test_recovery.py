@@ -7,6 +7,7 @@ torn WAL tails at *every byte boundary* (the log-layer mirror of the
 PR 3 RPLS truncation suite) and a corrupted newest checkpoint.
 """
 
+import gc
 import random
 
 import pytest
@@ -97,6 +98,55 @@ class TestRecoverRoundtrip:
         counter.apply_batch(ops, on_invalid="skip")
         for v in range(counter.graph.n):
             counter.count(v)
+
+
+def _set_gc(enabled):
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+class TestRecoverGcState:
+    """``recover()`` pauses the cyclic GC while it loads and hands the
+    caller's GC state back unchanged, on success and on failure."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_gc_state_restored(self, tmp_path, enabled):
+        run_durable(tmp_path, make_graph(), total_ops=12)
+        was = gc.isenabled()
+        try:
+            _set_gc(enabled)
+            recover(tmp_path)
+            assert gc.isenabled() is enabled
+        finally:
+            _set_gc(was)
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_gc_state_restored_on_recovery_error(self, tmp_path, enabled):
+        was = gc.isenabled()
+        try:
+            _set_gc(enabled)
+            with pytest.raises(RecoveryError):
+                recover(tmp_path / "never-written")
+            assert gc.isenabled() is enabled
+        finally:
+            _set_gc(was)
+
+    def test_gc_paused_during_recovery(self, tmp_path, monkeypatch):
+        import repro.persist.recovery as recovery
+
+        run_durable(tmp_path, make_graph(), total_ops=12)
+        seen = []
+        replay = recovery._replay
+
+        def spy(counter, scan):
+            seen.append(gc.isenabled())
+            return replay(counter, scan)
+
+        monkeypatch.setattr(recovery, "_replay", spy)
+        recover(tmp_path)
+        assert seen == [False]
 
 
 class TestTornWalTails:

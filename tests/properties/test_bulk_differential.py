@@ -1,27 +1,20 @@
-"""Differential properties: bulk query backend vs the scalar kernels.
+"""Differential properties: batch queries vs the scalar kernels.
 
 ``sccnt_many`` / ``spcnt_many`` promise bit-identity with the scalar
 loops over *any* index state — fresh builds over random graphs, frozen
-snapshots left behind by update streams, stores whose counts straddle
-the 24-bit saturation boundary, and replicas reconstructed in pool
-workers from the RPLS byte transport.
+snapshots left behind by update streams, and stores whose counts
+straddle the 24-bit saturation boundary.
 """
 
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.bulk import numpy_available
 from repro.core.csc import CSCIndex
 from repro.core.maintenance import delete_edge, insert_edge
 from repro.labeling.labelstore import COUNT_SATURATED
-from tests.conftest import digraphs, random_digraph
-
-pytestmark = pytest.mark.skipif(
-    not numpy_available(), reason="bulk fast path needs NumPy"
-)
+from tests.conftest import digraphs
 
 
 def _assert_bulk_matches_scalar(index, pairs):
@@ -126,44 +119,3 @@ class TestBulkMatchesScalar:
                 if entries:
                     store.replace_vertex(v, entries)
         _assert_bulk_matches_scalar(index, _some_pairs(g.n, scale % 97))
-
-
-class TestPoolTransportIdentity:
-    @settings(deadline=None, max_examples=8)
-    @given(g=digraphs(max_n=10), seed=st.integers(0, 2**8))
-    def test_worker_replica_identical(self, g, seed):
-        """The RPLS byte transport to pool workers changes where the
-        batch is evaluated, never what it returns."""
-        index = CSCIndex.build(g)
-        vs = list(range(g.n)) * 2
-        pairs = _some_pairs(g.n, seed, k=20)
-        assert index.sccnt_many(vs, workers=2) == index.sccnt_many(vs)
-        assert index.spcnt_many(pairs, workers=2) == \
-            index.spcnt_many(pairs)
-
-
-def test_pool_transport_large_counts():
-    """Saturated counts survive the worker transport exactly (the
-    overflow table rides along in the RPLS blob)."""
-    from tests.test_large_counts import diamond_chain
-
-    k = 26
-    g, s, t = diamond_chain(k)
-    g.add_edge(t, s)
-    index = CSCIndex.build(g)
-    vs = [s, t, s]
-    res = index.sccnt_many(vs, workers=2)
-    assert res == [index.sccnt(v) for v in vs]
-    assert res[0].count == 2**k
-
-
-def test_pool_transport_after_updates():
-    g = random_digraph(25, 90, seed=31)
-    index = CSCIndex.build(g)
-    edges = sorted(g.edges())
-    for e in edges[:3]:
-        delete_edge(index, *e)
-    vs = list(range(g.n))
-    assert index.sccnt_many(vs, workers=3) == [
-        index.sccnt(v) for v in vs
-    ]
