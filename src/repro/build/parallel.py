@@ -1,17 +1,20 @@
 """Multi-worker index construction: optimistic waves, exact commits.
 
-The serial builders run one pruned counting BFS pair per hub, in rank
-order, and every BFS reads only labels owned by strictly higher-ranked
-hubs.  This module parallelizes that loop across worker *processes*
-while keeping the result **bit-identical** to the serial build for any
-worker count:
+Construction runs one pruned counting BFS pair per hub
+(:func:`~repro.build.worker.hub_bfs`), in rank order, and every BFS
+reads only labels owned by strictly higher-ranked hubs.  This module
+runs that loop on the master alone (one worker: the serial build) or
+spreads it across worker *processes*, with the result
+**bit-identical** for any worker count:
 
-1. The master runs a short **serial prefix** (the top-ranked hubs —
-   their BFS trees blanket the graph and would conflict constantly).
+1. The master runs a **serial prefix** (the top-ranked hubs — their
+   BFS trees blanket the graph and would conflict constantly), all of
+   the ranks when there is one worker.
 2. The remaining ranks are cut into rank-contiguous **waves**
    (:mod:`repro.build.waves`).  Before each wave the labels committed
-   since the last broadcast are shipped to every worker as packed
-   ``RPLS`` bytes (PR 2's one-memcpy-per-vertex serialization), so all
+   since the last broadcast — before the first wave, the prefix tables
+   themselves — are shipped to every worker as packed ``RPLS`` bytes
+   (the label store's one-memcpy-per-vertex serialization), so all
    workers hold the identical frozen prefix.
 3. Workers run their share of the wave's hubs *speculatively* against
    that frozen prefix and return, per hub and BFS side, the entries the
@@ -62,7 +65,8 @@ from dataclasses import dataclass, field
 from repro.build.waves import WavePlan, plan_waves
 from repro.build.worker import (
     HubDelta,
-    side_kernels,
+    check_kind,
+    hub_bfs,
     tables_to_rpls,
     worker_main,
 )
@@ -356,17 +360,18 @@ def build_label_tables(
     """Construct ``(label_in, label_out)`` for ``graph`` under ``order``
     with a pool of ``workers`` processes.
 
-    Bit-identical to the serial builder of the given ``kind`` for any
-    worker count (including 1, which skips the pool entirely and runs
-    the same kernels in rank order on the master).
+    The schedule is a rank-order prefix run on the master followed by
+    speculative waves on the pool (module docstring); one worker makes
+    the prefix the whole build, with no pool and no broadcast.  Every
+    schedule runs the one kernel :func:`~repro.build.worker.hub_bfs` and
+    yields the same tables.
     """
+    csc = check_kind(kind)
     n = graph.n
     plan: WavePlan = plan_waves(n, workers, serial_prefix, wave_base,
                                 wave_max)
     if workers == 1:
-        # One worker is just the serial build; no pool, one "wave".
         plan = WavePlan(n=n, serial_prefix=n, waves=[])
-    forward, backward = side_kernels(kind)
     stats = BuildStats(
         kind=kind,
         workers=workers,
@@ -377,20 +382,17 @@ def build_label_tables(
     )
     label_in: list[list[Entry]] = [[] for _ in range(n)]
     label_out: list[list[Entry]] = [[] for _ in range(n)]
-    delta_in: list[list[Entry]] = [[] for _ in range(n)]
-    delta_out: list[list[Entry]] = [[] for _ in range(n)]
     dist = [UNREACHED] * n
     cnt = [0] * n
-    no_canon: set[int] = set()  # prefix commits need no conflict tracking
 
+    # The prefix commits straight into the tables: at its end they are
+    # exactly the first wave's broadcast, so no delta copy is kept.
     for p in range(plan.serial_prefix):
         h = order[p]
-        entries, _ = forward(graph, h, p, pos, label_in, label_out,
-                             dist, cnt)
-        _commit(label_in, delta_in, no_canon, p, entries)
-        entries, _ = backward(graph, h, p, pos, label_in, label_out,
-                              dist, cnt)
-        _commit(label_out, delta_out, no_canon, p, entries)
+        hub_bfs(graph, h, p, pos, label_in, label_out, dist, cnt, csc,
+                True, commit=True)
+        hub_bfs(graph, h, p, pos, label_in, label_out, dist, cnt, csc,
+                False, commit=True)
 
     if plan.waves:
         # One pooled build at a time: interleaved pipe traffic from a
@@ -398,6 +400,7 @@ def build_label_tables(
         with _POOL_LOCK:
             pool = _get_pool(workers)
             pool.init_build(graph, pos, kind)
+            delta_in, delta_out = label_in, label_out
             for start, end in plan.waves:
                 blob_in = tables_to_rpls(delta_in)
                 blob_out = tables_to_rpls(delta_out)
@@ -421,13 +424,14 @@ def build_label_tables(
                     bwd_ok = h not in canon_in
                     if not fwd_ok:
                         stats.conflicts += 1
-                        fwd_e, _ = forward(graph, h, p, pos, label_in,
-                                           label_out, dist, cnt)
+                        fwd_e, _ = hub_bfs(graph, h, p, pos, label_in,
+                                           label_out, dist, cnt, csc, True)
                     _commit(label_in, delta_in, canon_in, p, fwd_e)
                     if not bwd_ok:
                         stats.conflicts += 1
-                        bwd_e, _ = backward(graph, h, p, pos, label_in,
-                                            label_out, dist, cnt)
+                        bwd_e, _ = hub_bfs(graph, h, p, pos, label_in,
+                                           label_out, dist, cnt, csc,
+                                           False)
                     _commit(label_out, delta_out, canon_out, p, bwd_e)
 
     stats.entries = (

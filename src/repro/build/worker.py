@@ -1,10 +1,10 @@
-"""Build-worker kernels and the worker process entry point.
+"""The construction BFS and the build-worker process entry point.
 
-The kernels are *delta* variants of the construction BFSes in
-:mod:`repro.core.csc` / :mod:`repro.labeling.hpspc`: instead of
-appending into the label tables they run against a **frozen** table
-state and return the ``(vertex, dist, count, flag)`` records the hub
-would append, in append (BFS-dequeue) order, together with the list of
+:func:`hub_bfs` is the one pruned counting BFS of the repository: both
+sides of one hub, for both index kinds (CSC over the implicit ``Gb``,
+HP-SPC over ``G``).  It runs against the tuple-list tables as they
+stand and returns the ``(vertex, dist, count, flag)`` records the hub
+appends, in append (BFS-dequeue) order, together with the list of
 vertices the BFS dequeued.  The dequeued list *is* the side's label
 read set — every pruning query probes exactly the dequeued vertex's
 labels — which is what the repair committer
@@ -20,20 +20,17 @@ landing a canonical entry on the hub vertex's *hub side* and thereby
 extending ``hub_dist`` itself.  That is the committer's entire conflict
 condition (see :mod:`repro.build.parallel` for the full argument).
 
-The same kernels serve three callers: pool workers (against their
-broadcast prefix copy), the master's serial prefix, and the master's
-conflict redo (against the authoritative, fully committed tables) — one
-code path, one behavior.
-
-They deliberately *mirror* (rather than share) the in-place serial
-kernels in :mod:`repro.core.csc` / :mod:`repro.labeling.hpspc`: the
-serial builders are the independent reference the bit-identity
-differential suite pins this module against, and folding the two into
-one implementation would make that comparison vacuous while slowing the
-serial path (the common case) with a commit indirection.  A change to
-either copy must keep
-``tests/properties/test_parallel_build_differential.py`` green — that
-suite is what keeps the pair in lockstep.
+The kernel serves every schedule: the master's rank-order prefix (the
+whole build when there is one worker), pool workers (against their
+broadcast prefix copy), the master's conflict redo (against the
+authoritative tables), and the pool side of parallel deletion repair.
+Its output is pinned by the Table II/III goldens and the cross-checks
+against the naive DFS and BFS-CYCLE oracles;
+``tests/properties/test_parallel_build_differential.py`` pins the
+speculative waves plus conflict redo against the straight rank-order
+schedule, and ``tests/properties/test_parallel_repair_differential.py``
+pins the pool repairs against :func:`repro.core.maintenance._repair_hub`,
+which runs the same BFS over the packed stores' hub maps.
 
 A worker process (:func:`worker_main`) speaks a tiny pickled-tuple
 protocol over its pipe:
@@ -71,11 +68,8 @@ from repro.errors import ConfigurationError
 
 __all__ = [
     "HubDelta",
-    "SIDE_KERNELS",
-    "csc_hub_delta",
-    "hpspc_hub_delta",
-    "kernel_for",
-    "side_kernels",
+    "check_kind",
+    "hub_bfs",
     "tables_to_rpls",
     "extend_tables_from_rpls",
     "worker_main",
@@ -87,31 +81,80 @@ HubDelta = tuple[list[Entry], list[Entry]]
 
 
 # ---------------------------------------------------------------------------
-# Delta BFS kernels
+# The construction BFS
 # ---------------------------------------------------------------------------
 
+def check_kind(kind: str) -> bool:
+    """Validate an index kind; returns whether it is CSC."""
+    if kind not in ("csc", "hpspc"):
+        raise ConfigurationError(
+            f"unknown index kind {kind!r}; expected one of "
+            "['csc', 'hpspc']"
+        )
+    return kind == "csc"
 
-def _csc_forward_delta(graph, h, ph, pos, label_in, label_out, dist, cnt):
-    """Delta variant of :func:`repro.core.csc._forward_bfs` (in-label
-    generation for hub ``h_in``; levels advance by 2 in ``Gb`` units)."""
+
+def hub_bfs(graph, h, ph, pos, label_in, label_out, dist, cnt, csc,
+            forward, commit=False):
+    """One pruned counting BFS of hub ``h`` (rank ``ph``) against the
+    tables as they stand — Algorithm 3's per-hub loop.
+
+    ``forward`` generates in-labels (pruning joins the hub's ``Lout``
+    against the dequeued vertex's ``Lin``), the backward side the
+    mirror image.  ``csc`` selects the CSC index over the implicit
+    ``Gb``: levels advance by 2 (couple edge plus one original edge),
+    the forward ``hub_dist`` is the couple-shifted ``Lout(h_out)``, and
+    the backward BFS starts from ``h``'s in-neighbours' ``out`` sides
+    at distance 1 and stops at ``h``'s own couple after recording the
+    cycle entry (Section IV-C rule (4)).  HP-SPC is the plain BFS on
+    ``G``.  Every other seed is ``h`` itself at distance 0, so the one
+    rank test ``pos[u] >= ph`` never re-admits it.
+
+    ``dist``/``cnt`` are ``UNREACHED``/0 scratch arrays, restored
+    before returning ``(entries, visited)``.  With ``commit`` the
+    entries go straight into the target table instead and ``entries``
+    comes back empty: a vertex's labels are read only when it is
+    dequeued, before its own append, and rank-``ph`` entries stop every
+    pruning scan.  The rank-order prefix commits this way; returning
+    the entries and appending them afterwards measured 8–14% slower on
+    the perfbench graphs.
+    """
+    if forward:
+        hub_side, target = label_out[h], label_in
+        neighbors = graph.out_neighbors
+        shift = 1 if csc else 0
+    else:
+        hub_side, target = label_in[h], label_out
+        neighbors = graph.in_neighbors
+        shift = 0
+    # Canonical distances from/to the hub via strictly higher hubs.
     hub_dist: dict[int, int] = {}
-    for q, d, _c, canonical in label_out[h]:
+    for q, d, _c, canonical in hub_side:
         if q >= ph:
             break
         if canonical:
-            hub_dist[q] = d + 1
-    out_neighbors = graph.out_neighbors
-
-    dist[h] = 0
-    cnt[h] = 1
-    queue: deque[int] = deque((h,))
-    visited = [h]
-    entries: list[tuple[int, int, int, bool]] = []
+            hub_dist[q] = d + shift
+    if csc and not forward:
+        stop = h
+        visited = [u for u in neighbors(h) if pos[u] >= ph]
+        for u in visited:
+            dist[u] = 1
+            cnt[u] = 1
+    else:
+        stop = -1
+        visited = [h]
+        dist[h] = 0
+        cnt[h] = 1
+    step = 2 if csc else 1
+    queue: deque[int] = deque(visited)
+    entries: list[Entry] = []
     while queue:
         w = queue.popleft()
         d_w = dist[w]
+        # Pruning query (Algorithm 3 line 13): canonical entries of
+        # strictly higher-ranked hubs only.
         d_via = UNREACHED
-        for q, dq, _cq, canonical in label_in[w]:
+        for q, dq, _cq, canonical in target[w]:
             if q >= ph:
                 break
             if canonical:
@@ -120,64 +163,15 @@ def _csc_forward_delta(graph, h, ph, pos, label_in, label_out, dist, cnt):
                     d_via = hd + dq
         if d_via < d_w:
             continue
-        entries.append((w, d_w, cnt[w], d_via > d_w))
-        d_next = d_w + 2
-        c_w = cnt[w]
-        for u in out_neighbors(w):
-            if dist[u] == UNREACHED:
-                if pos[u] > ph:
-                    dist[u] = d_next
-                    cnt[u] = c_w
-                    queue.append(u)
-                    visited.append(u)
-            elif dist[u] == d_next:
-                cnt[u] += c_w
-    for w in visited:
-        dist[w] = UNREACHED
-        cnt[w] = 0
-    return entries, visited
-
-
-def _csc_backward_delta(graph, h, ph, pos, label_in, label_out, dist, cnt):
-    """Delta variant of :func:`repro.core.csc._backward_bfs` (out-label
-    generation; dequeuing the hub's own couple records the cycle entry
-    and prunes)."""
-    hub_dist: dict[int, int] = {}
-    for q, d, _c, canonical in label_in[h]:
-        if q >= ph:
-            break
-        if canonical:
-            hub_dist[q] = d
-    in_neighbors = graph.in_neighbors
-
-    queue: deque[int] = deque()
-    visited: list[int] = []
-    entries: list[tuple[int, int, int, bool]] = []
-    for u in in_neighbors(h):
-        if pos[u] >= ph:
-            dist[u] = 1
-            cnt[u] = 1
-            queue.append(u)
-            visited.append(u)
-    while queue:
-        w = queue.popleft()
-        d_w = dist[w]
-        d_via = UNREACHED
-        for q, dq, _cq, canonical in label_out[w]:
-            if q >= ph:
-                break
-            if canonical:
-                hd = hub_dist.get(q)
-                if hd is not None and dq + hd < d_via:
-                    d_via = dq + hd
-        if d_via < d_w:
-            continue
-        entries.append((w, d_w, cnt[w], d_via > d_w))
-        if w == h:
+        if commit:
+            target[w].append((ph, d_w, cnt[w], d_via > d_w))
+        else:
+            entries.append((w, d_w, cnt[w], d_via > d_w))
+        if w == stop:
             continue  # couple-cycle: cycle entry recorded, prune
-        d_next = d_w + 2
+        d_next = d_w + step
         c_w = cnt[w]
-        for u in in_neighbors(w):
+        for u in neighbors(w):
             if dist[u] == UNREACHED:
                 if pos[u] >= ph:
                     dist[u] = d_next
@@ -190,120 +184,6 @@ def _csc_backward_delta(graph, h, ph, pos, label_in, label_out, dist, cnt):
         dist[w] = UNREACHED
         cnt[w] = 0
     return entries, visited
-
-
-def csc_hub_delta(graph, h, ph, pos, label_in, label_out, dist, cnt):
-    """Both construction BFSes of CSC hub ``h`` (rank ``ph``) against a
-    frozen table state."""
-    fwd, _ = _csc_forward_delta(
-        graph, h, ph, pos, label_in, label_out, dist, cnt
-    )
-    bwd, _ = _csc_backward_delta(
-        graph, h, ph, pos, label_in, label_out, dist, cnt
-    )
-    return (fwd, bwd)
-
-
-def _hpspc_delta(
-    graph, v, p, pos, hub_side_labels, target_labels, dist, cnt, forward
-):
-    """Delta variant of
-    :func:`repro.labeling.hpspc._pruned_counting_bfs`."""
-    hub_dist: dict[int, int] = {}
-    for q, dq, _cq, canonical in hub_side_labels:
-        if q >= p:
-            break
-        if canonical:
-            hub_dist[q] = dq
-    neighbors = graph.out_neighbors if forward else graph.in_neighbors
-
-    dist[v] = 0
-    cnt[v] = 1
-    queue: deque[int] = deque((v,))
-    visited = [v]
-    entries: list[tuple[int, int, int, bool]] = []
-    while queue:
-        w = queue.popleft()
-        d_w = dist[w]
-        d_via = UNREACHED
-        for q, dq, _cq, canonical in target_labels[w]:
-            if q >= p:
-                break
-            if canonical:
-                hd = hub_dist.get(q)
-                if hd is not None and hd + dq < d_via:
-                    d_via = hd + dq
-        if d_via < d_w:
-            continue
-        entries.append((w, d_w, cnt[w], d_via > d_w))
-        d_next = d_w + 1
-        c_w = cnt[w]
-        for u in neighbors(w):
-            if dist[u] == UNREACHED:
-                if pos[u] > p:
-                    dist[u] = d_next
-                    cnt[u] = c_w
-                    queue.append(u)
-                    visited.append(u)
-            elif dist[u] == d_next:
-                cnt[u] += c_w
-    for w in visited:
-        dist[w] = UNREACHED
-        cnt[w] = 0
-    return entries, visited
-
-
-def hpspc_forward_delta(graph, h, ph, pos, label_in, label_out, dist, cnt):
-    """HP-SPC in-label generation for hub ``h`` (hub side ``Lout(h)``)."""
-    return _hpspc_delta(
-        graph, h, ph, pos, label_out[h], label_in, dist, cnt, forward=True
-    )
-
-
-def hpspc_backward_delta(graph, h, ph, pos, label_in, label_out, dist, cnt):
-    """HP-SPC out-label generation for hub ``h`` (hub side ``Lin(h)``)."""
-    return _hpspc_delta(
-        graph, h, ph, pos, label_in[h], label_out, dist, cnt, forward=False
-    )
-
-
-def hpspc_hub_delta(graph, h, ph, pos, label_in, label_out, dist, cnt):
-    """Both pruned counting BFSes of HP-SPC hub ``h`` (rank ``ph``)."""
-    fwd, _ = hpspc_forward_delta(
-        graph, h, ph, pos, label_in, label_out, dist, cnt
-    )
-    bwd, _ = hpspc_backward_delta(
-        graph, h, ph, pos, label_in, label_out, dist, cnt
-    )
-    return (fwd, bwd)
-
-
-#: kind -> (forward side kernel, backward side kernel); the forward side
-#: writes in-labels and reads (in-labels @ visited, out-labels @ hub),
-#: the backward side the mirror image — for both index kinds.
-SIDE_KERNELS = {
-    "csc": (_csc_forward_delta, _csc_backward_delta),
-    "hpspc": (hpspc_forward_delta, hpspc_backward_delta),
-}
-
-_KERNELS = {"csc": csc_hub_delta, "hpspc": hpspc_hub_delta}
-
-
-def kernel_for(kind: str):
-    """The per-hub delta kernel for an index kind."""
-    try:
-        return _KERNELS[kind]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown index kind {kind!r}; expected one of "
-            f"{sorted(_KERNELS)}"
-        ) from None
-
-
-def side_kernels(kind: str):
-    """The (forward, backward) side kernels for an index kind."""
-    kernel_for(kind)  # validate the kind
-    return SIDE_KERNELS[kind]
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +235,7 @@ def worker_main(conn) -> None:
     """
     graph = None
     pos: list[int] = []
-    kernel = None
-    fwd_kernel = bwd_kernel = None
+    csc = True
     label_in: list[list[Entry]] = []
     label_out: list[list[Entry]] = []
     dist: list[int] = []
@@ -370,8 +249,7 @@ def worker_main(conn) -> None:
             tag = msg[0]
             if tag == "init":
                 graph, pos, kind = msg[1], msg[2], msg[3]
-                kernel = kernel_for(kind)
-                fwd_kernel, bwd_kernel = side_kernels(kind)
+                csc = check_kind(kind)
                 n = graph.n
                 label_in = [[] for _ in range(n)]
                 label_out = [[] for _ in range(n)]
@@ -387,17 +265,18 @@ def worker_main(conn) -> None:
             elif tag == "run":
                 results: list[tuple[int, HubDelta]] = []
                 for ph, h in msg[1]:
-                    delta = kernel(
-                        graph, h, ph, pos, label_in, label_out, dist, cnt
-                    )
-                    results.append((ph, delta))
+                    fwd, _ = hub_bfs(graph, h, ph, pos, label_in,
+                                     label_out, dist, cnt, csc, True)
+                    bwd, _ = hub_bfs(graph, h, ph, pos, label_in,
+                                     label_out, dist, cnt, csc, False)
+                    results.append((ph, (fwd, bwd)))
                 conn.send(("result", results))
             elif tag == "repair":
                 repairs: list[tuple[int, bool, list[Entry], list[int]]] = []
                 for forward, ph, h in msg[1]:
-                    k = fwd_kernel if forward else bwd_kernel
-                    entries, visited = k(
-                        graph, h, ph, pos, label_in, label_out, dist, cnt
+                    entries, visited = hub_bfs(
+                        graph, h, ph, pos, label_in, label_out, dist, cnt,
+                        csc, forward,
                     )
                     repairs.append((ph, forward, entries, visited))
                 conn.send(("result", repairs))

@@ -9,13 +9,13 @@ from repro.core.batch import (
 )
 from repro.core.csc import CSCIndex
 from repro.core.counter import IndexStats, ShortestCycleCounter
-from repro.core.labelstore import LabelStore
 from repro.core.maintenance import (
     STRATEGIES,
     UpdateStats,
     delete_edge,
     insert_edge,
 )
+from repro.labeling.labelstore import LabelStore
 
 __all__ = [
     "BatchStats",

@@ -35,13 +35,13 @@ dequeues ``w_in`` vertices and hops ``w_in -> w_out -> u_in`` at distance
 ``+2``; a backward BFS dequeues ``w_out`` vertices.  The backward rank test
 ``h_in ≺ u_out  ⇔  pos(h) <= pos(u)`` admits ``u = h`` — the dequeue of the
 hub's own couple is the couple-cycle case, which records the cycle entry and
-prunes (rule (4) of Section IV-C).
+prunes (rule (4) of Section IV-C).  The BFS is
+:func:`repro.build.worker.hub_bfs`, shared with HP-SPC.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import deque
 from collections.abc import Sequence
 from operator import index as _as_int
 
@@ -49,7 +49,6 @@ from repro.errors import BatchVertexError, SerializationError, StaleLabelError
 from repro.graph.digraph import DiGraph
 from repro.labeling.hpspc import UNREACHED
 from repro.labeling.labelstore import (
-    HUB_SHIFT,
     LabelStore,
     LabelTable,
     coerce_store,
@@ -59,8 +58,6 @@ from repro.labeling.ordering import degree_order, positions, validate_order
 from repro.types import NO_CYCLE, NO_PATH, CycleCount, PathCount
 
 __all__ = ["CSCIndex"]
-
-Entry = tuple[int, int, int, bool]
 
 _INDEX_MAGIC = b"RPCI"
 _INDEX_VERSION = 1
@@ -168,10 +165,11 @@ class CSCIndex:
         first); it defaults to the paper's degree-descending order and is
         lifted to ``Gb`` with couples kept consecutive.
 
-        ``workers`` selects multi-process construction
-        (:mod:`repro.build`): ``None`` consults ``$REPRO_BUILD_WORKERS``
-        and defaults to 1 (serial).  The parallel result is bit-identical
-        (``to_bytes()``) to the serial build for any worker count.
+        ``workers`` sets how many processes share the construction
+        (:func:`repro.build.build_label_tables`): ``None`` consults
+        ``$REPRO_BUILD_WORKERS`` and defaults to 1, which runs every hub
+        in rank order on this process.  The result (``to_bytes()``) is
+        the same for any worker count.
         """
         if order is None:
             order_list = degree_order(graph)
@@ -181,20 +179,9 @@ class CSCIndex:
         pos = positions(order_list)
         from repro.build.parallel import build_label_tables, resolve_workers
 
-        n_workers = resolve_workers(workers)
-        if n_workers > 1:
-            label_in, label_out, _ = build_label_tables(
-                graph, order_list, pos, "csc", n_workers
-            )
-            return cls(graph, order_list, pos, label_in, label_out)
-        n = graph.n
-        label_in: list[list[Entry]] = [[] for _ in range(n)]
-        label_out: list[list[Entry]] = [[] for _ in range(n)]
-        dist = [UNREACHED] * n
-        cnt = [0] * n
-        for p, v in enumerate(order_list):
-            _forward_bfs(graph, v, p, pos, label_in, label_out, dist, cnt)
-            _backward_bfs(graph, v, p, pos, label_in, label_out, dist, cnt)
+        label_in, label_out, _ = build_label_tables(
+            graph, order_list, pos, "csc", resolve_workers(workers)
+        )
         return cls(graph, order_list, pos, label_in, label_out)
 
     def copy(self, copy_graph: bool = True) -> CSCIndex:
@@ -450,18 +437,8 @@ class CSCIndex:
         ``inv_in[hub_pos]`` is the set of vertices ``w`` with an entry of
         that hub in ``label_in[w]`` (Algorithm 8's inverted index)."""
         if self._inv_in is None or self._inv_out is None:
-            n = self.graph.n
-            inv_in: list[set[int]] = [set() for _ in range(n)]
-            inv_out: list[set[int]] = [set() for _ in range(n)]
-            in_packed = self.store_in.packed
-            out_packed = self.store_out.packed
-            for w in range(n):
-                for e in in_packed[w]:
-                    inv_in[e >> HUB_SHIFT].add(w)
-                for e in out_packed[w]:
-                    inv_out[e >> HUB_SHIFT].add(w)
-            self._inv_in = inv_in
-            self._inv_out = inv_out
+            self._inv_in = self.store_in.inverted()
+            self._inv_out = self.store_out.inverted()
         return self._inv_in, self._inv_out
 
     def entry_index(self, entries, hub_pos: int) -> int:
@@ -640,133 +617,3 @@ class CSCIndex:
                 f"index was built for n={n}, graph has n={graph.n}"
             )
         return cls(graph, order, positions(order), store_in, store_out)
-
-
-# ---------------------------------------------------------------------------
-# Construction BFS kernels
-# ---------------------------------------------------------------------------
-
-
-def _forward_bfs(
-    graph: DiGraph,
-    h: int,
-    ph: int,
-    pos: list[int],
-    label_in: list[list[Entry]],
-    label_out: list[list[Entry]],
-    dist: list[int],
-    cnt: list[int],
-) -> None:
-    """In-label generation for hub ``h_in`` (Algorithm 3 lines 9–26).
-
-    The queue holds original vertices standing for their ``w_in`` side; each
-    expansion step crosses the couple edge plus one original edge, so levels
-    advance by 2 in ``Gb`` units.
-    """
-    # Canonical sd(h_in, q_in) for strictly higher hubs, via the couple shift
-    # of the stored Lout(h_out).
-    hub_dist: dict[int, int] = {}
-    for q, d, _c, canonical in label_out[h]:
-        if q >= ph:
-            break
-        if canonical:
-            hub_dist[q] = d + 1
-    out_neighbors = graph.out_neighbors
-
-    dist[h] = 0
-    cnt[h] = 1
-    queue: deque[int] = deque((h,))
-    visited = [h]
-    while queue:
-        w = queue.popleft()
-        d_w = dist[w]
-        d_via = UNREACHED
-        for q, dq, _cq, canonical in label_in[w]:
-            if q >= ph:
-                break
-            if canonical:
-                hd = hub_dist.get(q)
-                if hd is not None and hd + dq < d_via:
-                    d_via = hd + dq
-        if d_via < d_w:
-            continue
-        label_in[w].append((ph, d_w, cnt[w], d_via > d_w))
-        d_next = d_w + 2
-        c_w = cnt[w]
-        for u in out_neighbors(w):
-            if dist[u] == UNREACHED:
-                if pos[u] > ph:
-                    dist[u] = d_next
-                    cnt[u] = c_w
-                    queue.append(u)
-                    visited.append(u)
-            elif dist[u] == d_next:
-                cnt[u] += c_w
-    for w in visited:
-        dist[w] = UNREACHED
-        cnt[w] = 0
-
-
-def _backward_bfs(
-    graph: DiGraph,
-    h: int,
-    ph: int,
-    pos: list[int],
-    label_in: list[list[Entry]],
-    label_out: list[list[Entry]],
-    dist: list[int],
-    cnt: list[int],
-) -> None:
-    """Out-label generation for hub ``h_in`` (reverse direction).
-
-    The queue holds original vertices standing for their ``w_out`` side.
-    The rank test ``pos[u] >= ph`` admits ``u == h``: dequeuing the hub's own
-    couple ``h_out`` records the cycle entry and prunes (Section IV-C
-    rule (4)).
-    """
-    hub_dist: dict[int, int] = {}
-    for q, d, _c, canonical in label_in[h]:
-        if q >= ph:
-            break
-        if canonical:
-            hub_dist[q] = d
-    in_neighbors = graph.in_neighbors
-
-    queue: deque[int] = deque()
-    visited: list[int] = []
-    for u in in_neighbors(h):
-        if pos[u] >= ph:
-            dist[u] = 1
-            cnt[u] = 1
-            queue.append(u)
-            visited.append(u)
-    while queue:
-        w = queue.popleft()
-        d_w = dist[w]
-        d_via = UNREACHED
-        for q, dq, _cq, canonical in label_out[w]:
-            if q >= ph:
-                break
-            if canonical:
-                hd = hub_dist.get(q)
-                if hd is not None and dq + hd < d_via:
-                    d_via = dq + hd
-        if d_via < d_w:
-            continue
-        label_out[w].append((ph, d_w, cnt[w], d_via > d_w))
-        if w == h:
-            continue  # couple-cycle: cycle entry recorded, prune
-        d_next = d_w + 2
-        c_w = cnt[w]
-        for u in in_neighbors(w):
-            if dist[u] == UNREACHED:
-                if pos[u] >= ph:
-                    dist[u] = d_next
-                    cnt[u] = c_w
-                    queue.append(u)
-                    visited.append(u)
-            elif dist[u] == d_next:
-                cnt[u] += c_w
-    for w in visited:
-        dist[w] = UNREACHED
-        cnt[w] = 0

@@ -61,6 +61,7 @@ from dataclasses import dataclass, field
 from repro.core.csc import CSCIndex
 from repro.errors import ConfigurationError
 from repro.graph.traversal import INF, bfs_distances
+from repro.labeling.hpspc import HPSPCIndex
 from repro.labeling.labelstore import UNREACHED, LabelStore
 
 __all__ = [
@@ -495,31 +496,44 @@ def delete_edge(index: CSCIndex, a: int, b: int) -> UpdateStats:
 
 
 def _repair_hub(
-    index: CSCIndex, h: int, forward: bool, stats: UpdateStats
+    index: CSCIndex | HPSPCIndex,
+    h: int,
+    forward: bool,
+    stats: UpdateStats,
+    csc: bool = True,
 ) -> list[int]:
-    """Re-run the construction BFS for hub ``h_in`` on the current graph and
+    """Re-run the construction BFS for hub ``h`` on the current graph and
     replace the hub's label fingerprint (fresh upserts + stale removals),
     patching packed entries in place.  Returns the vertices whose stored
-    labels actually changed (the parallel repair committer's write set)."""
+    labels actually changed (the parallel repair committer's write set).
+
+    The BFS is :func:`repro.build.worker.hub_bfs` — same ``csc`` /
+    ``forward`` parameters, same seeds, pruning and rank test — run over
+    the live store's hub maps instead of tuple lists; ``csc=False``
+    repairs an :class:`~repro.labeling.hpspc.HPSPCIndex`."""
     graph = index.graph
     pos = index.pos
     ph = pos[h]
     stats.repair_bfs_count += 1
     inv_in, inv_out = index.ensure_inverted()
+    stop = -1
+    seeds = [(h, 0, 1)]
     if forward:
         target = index.store_in
         inv = inv_in
         neighbors = graph.out_neighbors
-        hub_dist = _canonical_shift_map(index.store_out, h, ph, 1)
-        rank_ok = lambda u: pos[u] > ph  # noqa: E731
-        seeds = [(h, 0, 1)]
+        hub_dist = _canonical_shift_map(
+            index.store_out, h, ph, 1 if csc else 0
+        )
     else:
         target = index.store_out
         inv = inv_out
         neighbors = graph.in_neighbors
         hub_dist = _canonical_shift_map(index.store_in, h, ph, 0)
-        rank_ok = lambda u: pos[u] >= ph  # noqa: E731
-        seeds = [(u, 1, 1) for u in graph.in_neighbors(h) if pos[u] >= ph]
+        if csc:
+            stop = h
+            seeds = [(u, 1, 1) for u in neighbors(h) if pos[u] >= ph]
+    step = 2 if csc else 1
 
     target_maps = target.ensure_maps()
     hub_items = list(hub_dist.items())
@@ -549,12 +563,12 @@ def _repair_hub(
         if d_via < d_w:
             continue
         fresh[w] = (d_w, cnt[w], d_via > d_w)
-        if not forward and w == h:
+        if w == stop:
             continue  # couple-cycle prune
-        d_next = d_w + 2
+        d_next = d_w + step
         c_w = cnt[w]
         for u in neighbors(w):
-            if rank_ok(u):
+            if pos[u] >= ph:
                 d_u = dist.get(u)
                 if d_u is None:
                     dist[u] = d_next

@@ -4,7 +4,7 @@ The deletion side of :func:`repro.core.batch.apply_batch` runs one
 construction BFS per affected hub *side*, in descending rank order.
 Each of those BFSes is independent of the others except through the
 label entries earlier repairs may have changed — the exact structure
-PR 4's build pool exploits for construction — so this module farms the
+the build pool exploits for construction — so this module farms the
 repair BFSes out to the same long-lived forkserver pool
 (:mod:`repro.build.parallel`) and commits the results in serial order,
 bit-identical to the serial repair loop for any worker count.
@@ -15,10 +15,11 @@ Workers are (re)initialized with the post-deletion graph and then
 receive the *frozen pre-repair* label tables as two packed ``RPLS``
 blobs (the same one-memcpy-per-vertex container the build broadcasts
 use).  Each worker runs its share of ``(side, hub)`` repair tasks with
-the build's own delta kernels — :func:`_repair_hub`'s BFS and the
-kernels are the same algorithm, which the parallel-repair differential
-suite pins — and ships back, per task, the fresh fingerprint entries
-*and the list of vertices the BFS dequeued*.
+the build's kernel :func:`~repro.build.worker.hub_bfs` and ships back,
+per task, the fresh fingerprint entries *and the list of vertices the
+BFS dequeued*.  That kernel and the serial :func:`_repair_hub` are two
+representations of one BFS — over tuple lists, over the live store's
+hub maps — and the parallel-repair differential suite compares them.
 
 The conflict rule
 -----------------

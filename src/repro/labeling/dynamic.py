@@ -15,7 +15,9 @@ the HP-SPC baseline enjoys the same update model as CSC:
   distance conditions ``sd(v,a)+1 = sd(v,b)`` (in-side) and
   ``sd(b,u)+1 = sd(a,u)`` (out-side), computed exactly with four plain
   BFSes; each affected hub's label fingerprint is replaced by re-running
-  the construction BFS (stale entries located through an inverted index).
+  the construction BFS (stale entries located through an inverted index)
+  — CSC's own repair, :func:`repro.core.maintenance._repair_hub` with
+  ``csc=False``.
 
 Unlike the CSC variant there is no couple structure and no cycle-pair
 special case — labels live on the original digraph with hop distances.
@@ -29,58 +31,26 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.core.maintenance import STRATEGIES, UpdateStats
-from repro.errors import ConfigurationError, EdgeNotFoundError
+from repro.core.maintenance import (
+    UpdateStats,
+    _check_strategy,
+    _repair_hub,
+)
+from repro.errors import EdgeNotFoundError
 from repro.graph.traversal import INF, bfs_distances
 from repro.labeling.hpspc import HPSPCIndex, UNREACHED
-from repro.labeling.labelstore import HUB_SHIFT, LabelStore, join_min_dist
+from repro.labeling.labelstore import LabelStore, join_min_dist
 
-__all__ = ["insert_edge", "delete_edge", "ensure_inverted"]
-
-
-def ensure_inverted(
-    index: HPSPCIndex,
-) -> tuple[list[set[int]], list[set[int]]]:
-    """Build (once) inverted indexes ``hub_pos -> labeled vertices`` for an
-    HP-SPC index; cached on the index object."""
-    inv = index._dyn_inverted
-    if inv is None:
-        n = index.graph.n
-        inv_in: list[set[int]] = [set() for _ in range(n)]
-        inv_out: list[set[int]] = [set() for _ in range(n)]
-        in_packed = index.store_in.packed
-        out_packed = index.store_out.packed
-        for w in range(n):
-            for e in in_packed[w]:
-                inv_in[e >> HUB_SHIFT].add(w)
-            for e in out_packed[w]:
-                inv_out[e >> HUB_SHIFT].add(w)
-        inv = (inv_in, inv_out)
-        index._dyn_inverted = inv
-    return inv
-
-
-def _canonical_map(
-    store: LabelStore, v: int, limit_hub: int
-) -> dict[int, int]:
-    """``{hub: dist}`` over ``v``'s canonical entries with ``hub <
-    limit_hub`` (strictly higher rank)."""
-    maps = store._maps or store.ensure_maps()
-    return {
-        h: dc[0] for h, dc in maps[v].items() if h < limit_hub and dc[2]
-    }
+__all__ = ["insert_edge", "delete_edge"]
 
 
 def insert_edge(
     index: HPSPCIndex, a: int, b: int, strategy: str = "redundancy"
 ) -> UpdateStats:
     """Insert edge ``(a, b)`` and incrementally maintain the HP-SPC index."""
-    if strategy not in STRATEGIES:
-        raise ConfigurationError(
-            f"unknown strategy {strategy!r}; expected one of {STRATEGIES}"
-        )
+    _check_strategy(strategy)
     index.graph.add_edge(a, b)
-    ensure_inverted(index)
+    index.ensure_inverted()
     stats = UpdateStats("insert", (a, b), strategy)
     pos = index.pos
     pa, pb = pos[a], pos[b]
@@ -129,7 +99,7 @@ def _pass(
     side_map = side_store.ensure_maps()[hub_vertex]
     full_items = [(h, dc[0]) for h, dc in side_map.items()]
     canon = {h: dc[0] for h, dc in side_map.items() if h < q and dc[2]}
-    inv = ensure_inverted(index)[0 if forward else 1]
+    inv = index.ensure_inverted()[0 if forward else 1]
     target_maps = store.ensure_maps()
 
     dist: dict[int, int] = {start: d0}
@@ -222,7 +192,7 @@ def _clean_vertex(
     index: HPSPCIndex, w: int, forward: bool, stats: UpdateStats
 ) -> None:
     """Algorithm 8 on the generic index."""
-    inv_in, inv_out = ensure_inverted(index)
+    inv_in, inv_out = index.ensure_inverted()
     order = index.order
     if forward:
         store = index.store_in
@@ -294,7 +264,7 @@ def delete_edge(index: HPSPCIndex, a: int, b: int) -> UpdateStats:
         for u in graph.vertices()
         if d_from_a[u] is not INF and d_from_b[u] + 1 == d_from_a[u]
     }
-    ensure_inverted(index)
+    index.ensure_inverted()
     stats = UpdateStats("delete", (a, b))
     stats.details["affected_in_hubs"] = len(aff_in)
     stats.details["affected_out_hubs"] = len(aff_out)
@@ -302,81 +272,7 @@ def delete_edge(index: HPSPCIndex, a: int, b: int) -> UpdateStats:
     for h in sorted(aff_in | aff_out, key=lambda v: pos[v]):
         stats.hubs_processed += 1
         if h in aff_in:
-            _repair_hub(index, h, True, stats)
+            _repair_hub(index, h, True, stats, csc=False)
         if h in aff_out:
-            _repair_hub(index, h, False, stats)
+            _repair_hub(index, h, False, stats, csc=False)
     return stats
-
-
-def _repair_hub(
-    index: HPSPCIndex, h: int, forward: bool, stats: UpdateStats
-) -> None:
-    """Re-run the construction BFS for hub ``h`` and replace its
-    fingerprint (fresh upserts + inverted-index stale removal)."""
-    graph = index.graph
-    pos = index.pos
-    ph = pos[h]
-    inv_in, inv_out = ensure_inverted(index)
-    if forward:
-        target = index.store_in
-        inv = inv_in
-        neighbors = graph.out_neighbors
-        hub_dist = _canonical_map(index.store_out, h, ph)
-    else:
-        target = index.store_out
-        inv = inv_out
-        neighbors = graph.in_neighbors
-        hub_dist = _canonical_map(index.store_in, h, ph)
-    target_maps = target.ensure_maps()
-    hub_items = list(hub_dist.items())
-
-    dist: dict[int, int] = {h: 0}
-    cnt: dict[int, int] = {h: 1}
-    queue: deque[int] = deque((h,))
-    fresh: dict[int, tuple[int, int, bool]] = {}
-    while queue:
-        w = queue.popleft()
-        d_w = dist[w]
-        stats.vertices_visited += 1
-        # Canonical pruning query, flipped into a join over the hub-side
-        # canonical map (do not shadow the hub argument ``h``).
-        d_via = UNREACHED
-        get = target_maps[w].get
-        for h2, hd in hub_items:
-            t = get(h2)
-            if t is not None and t[2]:
-                d2 = hd + t[0]
-                if d2 < d_via:
-                    d_via = d2
-        if d_via < d_w:
-            continue
-        fresh[w] = (d_w, cnt[w], d_via > d_w)
-        d_next = d_w + 1
-        c_w = cnt[w]
-        for u in neighbors(w):
-            if pos[u] > ph:
-                d_u = dist.get(u)
-                if d_u is None:
-                    dist[u] = d_next
-                    cnt[u] = c_w
-                    queue.append(u)
-                elif d_u == d_next:
-                    cnt[u] += c_w
-
-    stale = inv[ph] - fresh.keys()
-    for w, (d, c, flag) in fresh.items():
-        i = target.hub_index(w, ph)
-        if i >= 0:
-            if target.decode(w, i)[1:] != (d, c, flag):
-                target.set_at(w, i, ph, d, c, flag)
-                stats.entries_updated += 1
-        else:
-            target.insert_sorted(w, ph, d, c, flag)
-            inv[ph].add(w)
-            stats.entries_added += 1
-    for w in stale:
-        i = target.hub_index(w, ph)
-        if i >= 0:
-            target.delete_at(w, i)
-            stats.entries_removed += 1
-        inv[ph].discard(w)

@@ -26,7 +26,6 @@ hub maps.  ``label_in`` / ``label_out`` expose the classic tuple-list view.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Sequence
 
 from repro.graph.digraph import DiGraph
@@ -59,7 +58,8 @@ class HPSPCIndex:
     """
 
     __slots__ = (
-        "graph", "order", "pos", "store_in", "store_out", "_dyn_inverted",
+        "graph", "order", "pos", "store_in", "store_out", "_inv_in",
+        "_inv_out",
     )
 
     def __init__(
@@ -76,8 +76,10 @@ class HPSPCIndex:
         # Accepts the seed's list-of-tuple-lists or a LabelStore/-Table.
         self.store_in: LabelStore = coerce_store(label_in)
         self.store_out: LabelStore = coerce_store(label_out)
-        # Inverted indexes, built lazily by repro.labeling.dynamic.
-        self._dyn_inverted = None
+        # Inverted indexes, built lazily by ensure_inverted() for
+        # repro.labeling.dynamic.
+        self._inv_in: list[set[int]] | None = None
+        self._inv_out: list[set[int]] | None = None
 
     @property
     def label_in(self) -> LabelTable:
@@ -103,9 +105,11 @@ class HPSPCIndex:
 
         ``order`` defaults to the paper's degree-descending order; pass an
         explicit permutation (highest rank first) to pin tie-breaks.
-        ``workers`` selects multi-process construction
-        (:mod:`repro.build`; ``None`` consults ``$REPRO_BUILD_WORKERS``),
-        bit-identical to the serial build for any worker count.
+        ``workers`` sets how many processes share the construction
+        (:func:`repro.build.build_label_tables`; ``None`` consults
+        ``$REPRO_BUILD_WORKERS`` and defaults to 1, which runs every hub
+        in rank order on this process); the result is the same for any
+        worker count.
         """
         if order is None:
             order_list = degree_order(graph)
@@ -115,26 +119,9 @@ class HPSPCIndex:
         pos = positions(order_list)
         from repro.build.parallel import build_label_tables, resolve_workers
 
-        n_workers = resolve_workers(workers)
-        if n_workers > 1:
-            label_in, label_out, _ = build_label_tables(
-                graph, order_list, pos, "hpspc", n_workers
-            )
-            return cls(graph, order_list, pos, label_in, label_out)
-        n = graph.n
-        label_in: list[list[Entry]] = [[] for _ in range(n)]
-        label_out: list[list[Entry]] = [[] for _ in range(n)]
-        dist = [UNREACHED] * n
-        cnt = [0] * n
-        for p, v in enumerate(order_list):
-            _pruned_counting_bfs(
-                graph, v, p, pos, label_out[v], label_in,
-                dist, cnt, forward=True,
-            )
-            _pruned_counting_bfs(
-                graph, v, p, pos, label_in[v], label_out,
-                dist, cnt, forward=False,
-            )
+        label_in, label_out, _ = build_label_tables(
+            graph, order_list, pos, "hpspc", resolve_workers(workers)
+        )
         return cls(graph, order_list, pos, label_in, label_out)
 
     # ------------------------------------------------------------------
@@ -157,6 +144,15 @@ class HPSPCIndex:
     def distance(self, source: int, target: int) -> float:
         """Shortest-path distance via the label cover."""
         return self.spcnt(source, target)[0]
+
+    def ensure_inverted(self) -> tuple[list[set[int]], list[set[int]]]:
+        """Build (once) and return ``(inv_in, inv_out)``, the inverted
+        indexes ``hub_pos -> labeled vertices`` (as
+        :meth:`repro.core.csc.CSCIndex.ensure_inverted`)."""
+        if self._inv_in is None or self._inv_out is None:
+            self._inv_in = self.store_in.inverted()
+            self._inv_out = self.store_out.inverted()
+        return self._inv_in, self._inv_out
 
     # ------------------------------------------------------------------
     # Introspection / persistence
@@ -265,66 +261,3 @@ def merge_labels(
             i += 1
             j += 1
     return best, total
-
-
-def _pruned_counting_bfs(
-    graph: DiGraph,
-    v: int,
-    p: int,
-    pos: list[int],
-    hub_side_labels: list[Entry],
-    target_labels: list[list[Entry]],
-    dist: list[int],
-    cnt: list[int],
-    forward: bool,
-) -> None:
-    """One hub iteration of Algorithm 3 (generic over direction).
-
-    ``hub_side_labels`` is ``Lout(v)`` for the forward pass / ``Lin(v)`` for
-    the backward pass — the side whose canonical entries feed the pruning
-    query.  ``target_labels`` is the table receiving new entries
-    (``label_in`` forward, ``label_out`` backward).
-    """
-    # Canonical distances from/to the hub via strictly higher-ranked hubs.
-    hub_dist: dict[int, int] = {}
-    for q, dq, _cq, canonical in hub_side_labels:
-        if q >= p:
-            break
-        if canonical:
-            hub_dist[q] = dq
-    neighbors = graph.out_neighbors if forward else graph.in_neighbors
-
-    dist[v] = 0
-    cnt[v] = 1
-    queue: deque[int] = deque((v,))
-    visited = [v]
-    while queue:
-        w = queue.popleft()
-        d_w = dist[w]
-        # Pruning query (Algorithm 3 line 13): canonical entries only,
-        # strictly higher-ranked hubs only.
-        d_via = UNREACHED
-        for q, dq, _cq, canonical in target_labels[w]:
-            if q >= p:
-                break
-            if canonical:
-                hd = hub_dist.get(q)
-                if hd is not None and hd + dq < d_via:
-                    d_via = hd + dq
-        if d_via < d_w:
-            continue  # v is not highest-ranked on any shortest v..w path
-        target_labels[w].append((p, d_w, cnt[w], d_via > d_w))
-        d_next = d_w + 1
-        c_w = cnt[w]
-        for u in neighbors(w):
-            if dist[u] == UNREACHED:
-                if pos[u] > p:
-                    dist[u] = d_next
-                    cnt[u] = c_w
-                    queue.append(u)
-                    visited.append(u)
-            elif dist[u] == d_next:
-                cnt[u] += c_w
-    for w in visited:
-        dist[w] = UNREACHED
-        cnt[w] = 0

@@ -351,6 +351,15 @@ class LabelStore:
         """Hub ranks of ``v``'s entries, in storage order."""
         return [e >> HUB_SHIFT for e in self.packed[v]]
 
+    def inverted(self) -> list[set[int]]:
+        """``hub_pos -> {vertices with an entry of that hub}`` — the
+        inverted index of dynamic maintenance (Algorithm 8)."""
+        inv: list[set[int]] = [set() for _ in self.packed]
+        for w, arr in enumerate(self.packed):
+            for e in arr:
+                inv[e >> HUB_SHIFT].add(w)
+        return inv
+
     def hub_index(self, v: int, hub: int) -> int:
         """Index of ``hub`` in ``v``'s sorted entries, or ``-1`` — a plain
         bisect over the packed words (hub bits are the most significant)."""

@@ -11,9 +11,8 @@ from repro.build import (
     shutdown_pool,
 )
 from repro.build.worker import (
+    check_kind,
     extend_tables_from_rpls,
-    kernel_for,
-    side_kernels,
     tables_to_rpls,
 )
 from repro.core.csc import CSCIndex
@@ -70,11 +69,14 @@ class TestResolveWorkers:
 
 
 class TestKernels:
-    def test_unknown_kind_rejected(self):
+    def test_unknown_kind_rejected(self, graph):
         with pytest.raises(ValueError, match="unknown index kind"):
-            kernel_for("prefix-tree")
+            check_kind("prefix-tree")
+        order = degree_order(graph)
         with pytest.raises(ValueError, match="unknown index kind"):
-            side_kernels("prefix-tree")
+            build_label_tables(
+                graph, order, positions(order), "prefix-tree", workers=1
+            )
 
     def test_rpls_roundtrip_preserves_sparse_tables(self):
         tables = [[], [(0, 2, 3, True)], [], [(1, 4, 1, False)], []]

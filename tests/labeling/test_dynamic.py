@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.graph.digraph import DiGraph
 from repro.graph.traversal import INF, count_shortest_paths
-from repro.labeling.dynamic import delete_edge, ensure_inverted, insert_edge
+from repro.labeling.dynamic import delete_edge, insert_edge
 from repro.labeling.hpspc import HPSPCIndex
 from tests.conftest import digraphs, random_digraph
 
@@ -122,6 +122,21 @@ class TestDeletion:
         delete_edge(idx, a, b)
         assert_all_pairs_correct(idx)
 
+    def test_repair_bfs_count_is_one_per_repaired_side(self):
+        """As for CSC deletions: one repair BFS per affected hub side,
+        so a hub affected on both sides counts twice."""
+        g = random_digraph(9, 22, seed=3)
+        idx = HPSPCIndex.build(g)
+        for a, b in list(g.edges())[:6]:
+            stats = delete_edge(idx, a, b)
+            sides = (
+                stats.details["affected_in_hubs"]
+                + stats.details["affected_out_hubs"]
+            )
+            assert sides >= stats.hubs_processed > 0
+            assert stats.repair_bfs_count == sides
+        assert_all_pairs_correct(idx)
+
     def test_label_sets_match_rebuild_after_deletions(self):
         g = random_digraph(9, 22, seed=3)
         idx = HPSPCIndex.build(g)
@@ -195,9 +210,9 @@ class TestInvertedIndex:
     def test_built_once_and_consistent(self):
         g = random_digraph(8, 16, seed=9)
         idx = HPSPCIndex.build(g)
-        inv1 = ensure_inverted(idx)
-        inv2 = ensure_inverted(idx)
-        assert inv1 is inv2
+        inv1 = idx.ensure_inverted()
+        inv2 = idx.ensure_inverted()
+        assert inv1[0] is inv2[0] and inv1[1] is inv2[1]
         inv_in, inv_out = inv1
         for v in g.vertices():
             for q, *_ in idx.label_in[v]:

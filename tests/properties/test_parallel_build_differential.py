@@ -1,14 +1,20 @@
-"""Differential properties: parallel build vs the serial builder.
+"""Differential properties: parallel build vs the serial schedule.
 
 The wave-sharded multi-process builder (:mod:`repro.build`) promises
 **bit-identity** — ``to_bytes()`` equality, which pins entries, order,
-canonical flags, and exact overflow counts — with the serial builder
-for any worker count.  These properties check that promise where it is
+canonical flags, and exact overflow counts — with the straight
+rank-order schedule (``workers=1``) for any worker count.  Both run the
+one construction kernel, so this suite pins the schedule (speculative
+waves plus conflict redo); the kernel itself is pinned by the Table
+II/III goldens and the cross-validation against the naive DFS and
+BFS-CYCLE oracles.  These properties check that promise where it is
 hardest:
 
-* adversarial wave plans (serial prefix of 1, waves of 2–3 hubs) so
-  almost every hub runs speculatively and the intra-wave conflict
-  machinery carries the correctness weight;
+* adversarial wave plans (a drawn serial prefix from none to all hubs,
+  waves of 2–3 hubs) so most hubs run speculatively and the intra-wave
+  conflict machinery carries the correctness weight, and the first
+  broadcast — the prefix tables themselves — covers its empty and
+  full edges;
 * couple-heavy graphs (every edge likely reciprocated), maximizing
   couple-cycle entries and length-2 interactions;
 * custom vertex orderings (identity, reversed, drawn permutations), not
@@ -64,19 +70,23 @@ def orderings(draw, n: int):
     return draw(st.permutations(range(n)))
 
 
-def _assert_parallel_matches_serial(graph, order, kind, workers):
+def _assert_parallel_matches_serial(data, graph, order, kind, workers):
     serial_cls = CSCIndex if kind == "csc" else HPSPCIndex
     serial = serial_cls.build(graph, order, workers=1)
-    # Adversarial plan: nearly everything speculative, tiny waves.
+    # Adversarial plan: tiny waves after a drawn prefix — the first
+    # broadcast is the prefix tables themselves, empty when the prefix
+    # is, and with the whole order as prefix no wave runs at all.
+    prefix = data.draw(st.integers(0, graph.n), label="serial_prefix")
     label_in, label_out, stats = build_label_tables(
         graph, list(order), positions(list(order)), kind,
-        workers=workers, serial_prefix=1, wave_base=2, wave_max=3,
+        workers=workers, serial_prefix=prefix, wave_base=2, wave_max=3,
     )
     par = serial_cls(
         graph, list(order), positions(list(order)), label_in, label_out
     )
     assert par.to_bytes() == serial.to_bytes()
-    assert stats.parallel_hubs == max(0, graph.n - 1)
+    assert stats.serial_hubs == prefix
+    assert stats.parallel_hubs == graph.n - prefix
     # And through the public entry point with the default plan.
     public = serial_cls.build(graph, order, workers=workers)
     assert public.to_bytes() == serial.to_bytes()
@@ -93,14 +103,14 @@ class TestCSCBitIdentity:
     def test_random_graphs_and_orders_two_workers(self, data):
         g = data.draw(digraphs(max_n=10))
         order = data.draw(orderings(g.n))
-        _assert_parallel_matches_serial(g, order, "csc", workers=2)
+        _assert_parallel_matches_serial(data, g, order, "csc", workers=2)
 
     @_NO_DEADLINE
     @given(data=st.data())
     def test_couple_heavy_graphs_two_workers(self, data):
         g = data.draw(couple_heavy_digraphs())
         order = data.draw(orderings(g.n))
-        _assert_parallel_matches_serial(g, order, "csc", workers=2)
+        _assert_parallel_matches_serial(data, g, order, "csc", workers=2)
 
 
 class TestHPSPCBitIdentity:
@@ -109,7 +119,7 @@ class TestHPSPCBitIdentity:
     def test_random_graphs_and_orders_two_workers(self, data):
         g = data.draw(digraphs(max_n=10))
         order = data.draw(orderings(g.n))
-        _assert_parallel_matches_serial(g, order, "hpspc", workers=2)
+        _assert_parallel_matches_serial(data, g, order, "hpspc", workers=2)
 
 
 class TestFourWorkers:
@@ -122,14 +132,14 @@ class TestFourWorkers:
     def test_csc_random_graphs_four_workers(self, data):
         g = data.draw(digraphs(max_n=12))
         order = data.draw(orderings(g.n))
-        _assert_parallel_matches_serial(g, order, "csc", workers=4)
+        _assert_parallel_matches_serial(data, g, order, "csc", workers=4)
 
     @_NO_DEADLINE
     @given(data=st.data())
     def test_couple_heavy_four_workers(self, data):
         g = data.draw(couple_heavy_digraphs(max_n=8))
         order = data.draw(orderings(g.n))
-        _assert_parallel_matches_serial(g, order, "hpspc", workers=4)
+        _assert_parallel_matches_serial(data, g, order, "hpspc", workers=4)
 
 
 @pytest.mark.slow
@@ -142,4 +152,4 @@ class TestDeepBitIdentity:
     def test_csc_larger_graphs(self, data):
         g = data.draw(digraphs(max_n=30, max_edge_factor=4))
         order = data.draw(orderings(g.n))
-        _assert_parallel_matches_serial(g, order, "csc", workers=3)
+        _assert_parallel_matches_serial(data, g, order, "csc", workers=3)
