@@ -467,7 +467,8 @@ def _cmd_serve(args) -> int:
         print(
             f"resumed {data_dir}: epoch {rec.epoch} "
             f"(ops_applied={rec.ops_applied}, "
-            f"{rec.records_replayed} WAL records replayed); "
+            f"{rec.records_replayed} WAL records replayed, "
+            f"{rec.rebuilds} rebuilds); "
             "the edge list was ignored"
         )
     base = counter.graph.copy() if args.verify else None
@@ -648,7 +649,8 @@ def _cluster_status(args) -> int:
         f"wal: {len(segments)} segments, {wal_bytes} bytes; "
         f"{result.records_replayed} records past the checkpoint "
         f"({result.ops_replayed} ops, {result.records_skipped} skipped, "
-        f"{result.torn_bytes_dropped} torn bytes)"
+        f"{result.rebuilds} rebuilds, {result.torn_bytes_dropped} torn "
+        "bytes)"
     )
     print(
         f"a replica bootstrapping now recovers in {elapsed * 1e3:.1f} ms "
@@ -674,7 +676,8 @@ def _cmd_recover(args) -> int:
         f"(chain of {result.checkpoint_chain_length}) + "
         f"{result.records_replayed} WAL records replayed "
         f"({result.ops_replayed} ops, {result.records_skipped} skipped, "
-        f"{result.torn_bytes_dropped} torn bytes dropped)"
+        f"{result.rebuilds} rebuilds, {result.torn_bytes_dropped} torn "
+        "bytes dropped)"
     )
     if args.verify:
         fresh = CSCIndex.build(counter.graph, counter.index.order)

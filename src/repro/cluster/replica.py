@@ -3,19 +3,24 @@
 ``replica_main`` is the entry point of one reader process in the
 cluster.  It reconstructs the primary's state by exactly the crash
 recovery path (:func:`repro.persist.recover` — newest checkpoint chain
-plus acknowledged WAL suffix, bit-identical by the PR 4 contract), then
-keeps following the live log with a :class:`~repro.persist.WalTailer`,
-applying each batch record under the identical framing the primary and
-recovery use.  Because batched maintenance is deterministic in its
-inputs, the replica's counter bytes equal the primary's at every epoch —
-the property the cluster harness machine-checks via per-epoch SHA-256
-digests of ``counter.to_bytes()``.
+plus acknowledged WAL suffix, bit-identical to a serial replay, with
+runs of rebuild-bound records folded into one build), then keeps
+following the live log with a :class:`~repro.persist.WalTailer`,
+applying each batch record through ``apply_batch`` under the framing
+the primary used — one record at a time, since every tailed record is
+published as its own epoch.  Because batched maintenance is
+deterministic in its inputs, the replica's counter bytes equal the
+primary's at every epoch — the property the cluster harness
+machine-checks via per-epoch SHA-256 digests of ``counter.to_bytes()``.
 
 Failure semantics mirror recovery:
 
-* a record whose ``apply_batch`` raises a :class:`~repro.errors.ReproError`
-  is skipped with **no epoch bump** — the primary kept its pre-batch
-  state when the same deterministic exception fired;
+* a record whose ``apply_batch`` raises a deterministic
+  :class:`~repro.errors.ReproError` is skipped with **no epoch bump** —
+  the primary kept its pre-batch state when the same exception fired;
+* a :class:`~repro.errors.WorkerCrashError` is not deterministic (the
+  primary retries it), so it is never read as "skip": it ends the
+  replica process, and the router takes the replica out of rotation;
 * an ``ABORT`` for a record this replica *successfully applied* means
   the primary's failure was nondeterministic and the replica has
   diverged — it re-bootstraps from the newest checkpoint (as does a
@@ -42,6 +47,7 @@ from repro.errors import (
     ReproError,
     WalRolledBackError,
     WalTailGapError,
+    WorkerCrashError,
 )
 from repro.persist.recovery import WAL_DIR, recover
 from repro.persist.tail import WalTailer
@@ -144,6 +150,8 @@ def replica_main(
                     rebuild_threshold=record.rebuild_threshold,
                     on_invalid=record.on_invalid,
                 )
+            except WorkerCrashError:
+                raise  # transient: the primary retried, it did not skip
             except ReproError:
                 records_skipped += 1
                 continue  # deterministic failure: primary skipped too

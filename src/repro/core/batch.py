@@ -55,9 +55,16 @@ BFSes), so once the total repair-side count exceeds
 ``rebuild_threshold`` as a fraction of all vertices, a single
 from-scratch build of the final graph (the paper's Figure 11/12
 strawman) is the cheaper plan and :func:`apply_batch` takes it instead.
-Past the threshold — or when the serving engine defers the batch — the
-repair loop itself can run on the PR 4 worker pool; see
-:mod:`repro.core.parallel_repair`.
+Below the threshold the repair loop itself can run on the build worker
+pool; see :mod:`repro.core.parallel_repair`.
+
+Steps 1–2's discovery and the cost model read the graph and never the
+labels, so they form a separate, mutation-free step, :func:`plan_batch`,
+which :func:`apply_batch` runs before executing the plan.  Crash recovery
+plans every logged batch the same way: a rebuild-bound batch's outcome
+depends only on the final graph and the vertex order, so
+:mod:`repro.persist.recovery` applies its edge changes to the graph and
+builds once for a whole run of such batches.
 """
 
 from __future__ import annotations
@@ -80,9 +87,10 @@ from repro.errors import (
     SelfLoopError,
     VertexError,
 )
+from repro.graph.digraph import DiGraph
 
-__all__ = ["BatchStats", "apply_batch", "normalize_batch",
-           "DEFAULT_REBUILD_THRESHOLD"]
+__all__ = ["BatchPlan", "BatchStats", "apply_batch", "normalize_batch",
+           "plan_batch", "rebuild_labels", "DEFAULT_REBUILD_THRESHOLD"]
 
 #: Rebuild from scratch once this fraction of all hubs needs a
 #: fingerprint repair.
@@ -201,6 +209,97 @@ def normalize_batch(
     return net_inserts, net_deletes, skipped, submitted
 
 
+@dataclass
+class BatchPlan:
+    """What :func:`apply_batch` will do with a batch, decided from the
+    graph alone by :func:`plan_batch` (nothing is mutated and no label
+    is read)."""
+
+    #: net edge insertions / deletions against the pre-batch graph
+    inserts: list[tuple[int, int]]
+    deletes: list[tuple[int, int]]
+    #: vertices whose in-side (forward) / out-side (backward) labels
+    #: need a fingerprint repair once the deletions are applied
+    aff_in: set[int]
+    aff_out: set[int]
+    #: the batch's stats as far as planning fills them: normalization
+    #: counts, discovery time and the cost model's input
+    stats: BatchStats
+    #: True when the cost model chose a from-scratch rebuild
+    rebuild: bool = False
+
+    def apply_edges(self, graph: DiGraph) -> None:
+        """Apply the net edge changes to ``graph`` — deletions first, then
+        insertions — without touching any label.  The rebuild fallback
+        runs this before its build; recovery runs it to fold a
+        rebuild-bound record into the graph."""
+        for a, b in self.deletes:
+            graph.remove_edge(a, b)
+        for a, b in self.inserts:
+            graph.add_edge(a, b)
+
+
+def plan_batch(
+    graph: DiGraph,
+    ops: Iterable[Op],
+    on_invalid: str = "raise",
+    rebuild_threshold: float = DEFAULT_REBUILD_THRESHOLD,
+) -> BatchPlan:
+    """Normalize ``ops`` against ``graph``, find every deletion-affected
+    hub, and apply the rebuild cost model — the part of
+    :func:`apply_batch` that depends on the graph alone.
+
+    Raises exactly what :func:`normalize_batch` raises; mutates nothing.
+    Because discovery reads no label, the plan is the same whatever
+    state the labels are in, which is what lets recovery fold
+    rebuild-bound records into the graph and build once.
+    """
+    inserts, deletes, skipped, submitted = normalize_batch(
+        graph, ops, on_invalid
+    )
+    stats = BatchStats(submitted=submitted, skipped=skipped,
+                       inserted=len(inserts), deleted=len(deletes))
+    stats.cancelled = submitted - len(skipped) - len(inserts) - len(deletes)
+    plan = BatchPlan(inserts, deletes, set(), set(), stats)
+    if not inserts and not deletes:
+        return plan
+    # Union over every deletion, on the pre-batch graph (batch edges
+    # often share endpoints, so the four per-edge BFSes are memoized
+    # per source across the whole batch).
+    forward_dists: dict[int, list[float]] = {}
+    reverse_dists: dict[int, list[float]] = {}
+    start = time.perf_counter()
+    for a, b in deletes:
+        aff_in, aff_out = deletion_affected_hubs(
+            graph, a, b, forward_dists, reverse_dists
+        )
+        plan.aff_in |= aff_in
+        plan.aff_out |= aff_out
+    stats.details["discovery_wall_s"] = time.perf_counter() - start
+    # Price per repair *side*: a hub affected on both sides costs two
+    # fingerprint BFSes, so |aff_in| + |aff_out| (not the union) is the
+    # BFS count a rebuild is weighed against — and past the threshold
+    # one full build is the cheaper plan.
+    sides = len(plan.aff_in) + len(plan.aff_out)
+    stats.affected_hub_fraction = sides / graph.n if graph.n else 0.0
+    stats.details["affected_in_hubs"] = len(plan.aff_in)
+    stats.details["affected_out_hubs"] = len(plan.aff_out)
+    plan.rebuild = stats.affected_hub_fraction > rebuild_threshold
+    return plan
+
+
+def rebuild_labels(
+    index: CSCIndex, stats: BatchStats, workers: int | None = None
+) -> None:
+    """Replace ``index``'s labels with a from-scratch build of its
+    current graph under its own order (the rebuild fallback)."""
+    start = time.perf_counter()
+    index.adopt_labels(CSCIndex.build(index.graph, index.order,
+                                      workers=workers))
+    stats.details["rebuild_wall_s"] = time.perf_counter() - start
+    stats.rebuilt = True
+
+
 def apply_batch(
     index: CSCIndex,
     ops: Iterable[Op] | Sequence[Op],
@@ -218,7 +317,9 @@ def apply_batch(
     through :func:`~repro.core.maintenance.insert_edge` /
     :func:`~repro.core.maintenance.delete_edge` (see the module docstring
     for the argument and ``tests/properties/test_batch_differential.py``
-    for the machine-checked version).
+    for the machine-checked version).  The plan — normalization,
+    discovery and the rebuild decision — is :func:`plan_batch`; this
+    function executes it.
 
     ``workers`` parallelizes the two expensive phases (``None`` consults
     ``$REPRO_BUILD_WORKERS``): the per-hub fingerprint repairs go
@@ -235,67 +336,29 @@ def apply_batch(
     """
     _check_strategy(strategy)
     graph = index.graph
-    inserts, deletes, skipped, submitted = normalize_batch(
-        graph, ops, on_invalid
-    )
-    stats = BatchStats(strategy=strategy, submitted=submitted,
-                       skipped=skipped)
-    stats.inserted = len(inserts)
-    stats.deleted = len(deletes)
-    stats.cancelled = (
-        submitted - len(skipped) - len(inserts) - len(deletes)
-    )
-    if not inserts and not deletes:
+    plan = plan_batch(graph, ops, on_invalid, rebuild_threshold)
+    stats = plan.stats
+    stats.strategy = strategy
+    if not plan.inserts and not plan.deletes:
         return stats
 
     pos = index.pos
     order = index.order
-
-    # -- union of affected hubs of every deletion, on the pre-batch graph
-    # (batch edges often share endpoints, so the four per-edge BFSes are
-    # memoized per source across the whole batch)
-    del_in: set[int] = set()   # hub positions needing a forward repair
-    del_out: set[int] = set()  # hub positions needing a backward repair
-    forward_dists: dict[int, list[float]] = {}
-    reverse_dists: dict[int, list[float]] = {}
-    phase_start = time.perf_counter()
-    for a, b in deletes:
-        aff_in, aff_out = deletion_affected_hubs(
-            index, a, b, forward_dists, reverse_dists
-        )
-        del_in.update(pos[v] for v in aff_in)
-        del_out.update(pos[v] for v in aff_out)
-    stats.details["discovery_wall_s"] = time.perf_counter() - phase_start
-
-    repair_hubs = del_in | del_out
-    # Price per repair *side*: a hub in both del_in and del_out costs two
-    # fingerprint BFSes, so |del_in| + |del_out| (not the union) is the
-    # BFS count the rebuild is weighed against.
-    stats.affected_hub_fraction = (
-        (len(del_in) + len(del_out)) / graph.n if graph.n else 0.0
-    )
-    stats.details["affected_in_hubs"] = len(del_in)
-    stats.details["affected_out_hubs"] = len(del_out)
-
+    del_in = {pos[v] for v in plan.aff_in}  # hub positions, forward repair
+    del_out = {pos[v] for v in plan.aff_out}  # backward repair
     if on_repair_plan is not None:
         on_repair_plan(del_in, del_out)
 
-    for a, b in deletes:
-        graph.remove_edge(a, b)
-
-    # -- cost-model fallback: each fingerprint repair costs about one
-    # construction BFS, so past the threshold one full build is cheaper.
-    if stats.affected_hub_fraction > rebuild_threshold:
-        for a, b in inserts:
-            graph.add_edge(a, b)
-        phase_start = time.perf_counter()
-        fresh = CSCIndex.build(graph, order, workers=workers)
-        index.adopt_labels(fresh)
-        stats.details["rebuild_wall_s"] = time.perf_counter() - phase_start
-        stats.rebuilt = True
+    if plan.rebuild:
+        plan.apply_edges(graph)
+        rebuild_labels(index, stats, workers)
         return stats
 
+    for a, b in plan.deletes:
+        graph.remove_edge(a, b)
+
     # -- one fingerprint repair per distinct hub side, descending rank --
+    repair_hubs = del_in | del_out
     if repair_hubs:
         phase_start = time.perf_counter()
         index.ensure_inverted()
@@ -326,7 +389,7 @@ def apply_batch(
         stats.details["repair_wall_s"] = time.perf_counter() - phase_start
 
     # -- INCCNT replay of the insertions on the post-deletion graph ------
-    for a, b in inserts:
+    for a, b in plan.inserts:
         sub = insert_edge(index, a, b, strategy)
         stats.hubs_processed += sub.hubs_processed
         stats.repair_bfs_count += sub.repair_bfs_count

@@ -24,6 +24,7 @@ from repro.core.batch import (
     DEFAULT_REBUILD_THRESHOLD,
     BatchStats,
     apply_batch,
+    rebuild_labels,
 )
 from repro.core.csc import CSCIndex
 from repro.core.maintenance import (
@@ -255,6 +256,18 @@ class ShortestCycleCounter:
         dynamic graphs; exposed for the Figure 11 comparison)."""
         self._index = CSCIndex.build(self.graph, self._index.order)
         self._updates.clear()
+
+    def rebuild_in_place(self, stats: BatchStats) -> None:
+        """Run the batch rebuild fallback on its own: rebuild the labels
+        from the current graph under the current order and log ``stats``
+        as one rebuilt batch.
+
+        For a caller that has already applied edge changes to
+        :attr:`graph` — crash recovery, folding rebuild-bound WAL records
+        into one build.  Unlike :meth:`rebuild`, the update log is kept.
+        """
+        rebuild_labels(self._index, stats)
+        self._updates.append(stats)
 
     # ------------------------------------------------------------------
     # Introspection / persistence

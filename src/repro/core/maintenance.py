@@ -41,16 +41,21 @@ Edge deletion — DECCNT (Section V-C)
 Affected hubs are *all* vertices satisfying the paper's distance conditions
 (computed exactly with four plain BFSes on the pre-deletion graph):
 ``hubA = {v : sd(v,a) + 1 = sd(v,b)}`` and
-``hubB = {u : sd(b,u) + 1 = sd(a,u)}``.  For each affected hub in descending
-rank order we re-run the construction BFS on ``G-`` and *replace the hub's
-whole label fingerprint*: fresh entries are upserted and entries the fresh
-BFS no longer justifies are dropped via the inverted index.  This implements
-the paper's "delete a superset, then re-add by BFS from each affected hub"
-and is what makes deletions one-to-two orders slower than insertions
-(Figure 12(a) vs 11(a)).  It also scrubs any redundancy-mode leftovers of
-the affected hubs, which is required for correctness: a deletion can raise a
-true distance up to a stale entry's value, at which point that entry would
-otherwise re-enter query minima with a rotten count.
+``hubB = {u : sd(b,u) + 1 = sd(a,u)}``, plus ``a`` itself on the out-side
+when ``(a, b)`` lies on a shortest cycle through ``a`` — also read off those
+BFSes, since that cycle is one hop to an out-neighbour ``x`` plus
+``sd(x, a)``.  Discovery therefore reads the graph and never the labels:
+which hubs a deletion affects, and hence whether a batch takes the rebuild
+fallback, is a function of the graph alone.  For each affected hub in
+descending rank order we re-run the construction BFS on ``G-`` and *replace
+the hub's whole label fingerprint*: fresh entries are upserted and entries
+the fresh BFS no longer justifies are dropped via the inverted index.  This
+implements the paper's "delete a superset, then re-add by BFS from each
+affected hub" and is what makes deletions one-to-two orders slower than
+insertions (Figure 12(a) vs 11(a)).  It also scrubs any redundancy-mode
+leftovers of the affected hubs, which is required for correctness: a
+deletion can raise a true distance up to a stale entry's value, at which
+point that entry would otherwise re-enter query minima with a rotten count.
 """
 
 from __future__ import annotations
@@ -60,6 +65,7 @@ from dataclasses import dataclass, field
 
 from repro.core.csc import CSCIndex
 from repro.errors import ConfigurationError
+from repro.graph.digraph import DiGraph
 from repro.graph.traversal import INF, bfs_distances
 from repro.labeling.hpspc import HPSPCIndex
 from repro.labeling.labelstore import UNREACHED, LabelStore
@@ -409,15 +415,18 @@ def _clean_vertex(
 
 
 def deletion_affected_hubs(
-    index: CSCIndex,
+    graph: DiGraph,
     a: int,
     b: int,
     forward_dists: dict[int, list[float]] | None = None,
     reverse_dists: dict[int, list[float]] | None = None,
 ) -> tuple[set[int], set[int]]:
     """Affected hubs of deleting ``(a, b)``: the Section V-C distance
-    conditions, evaluated on the *current* graph (which must still
-    contain the edge).
+    conditions, evaluated on ``graph`` (which must still contain the
+    edge).  Reads no label, so the answer is a function of the graph
+    alone — which is what lets recovery decide a batch's rebuild
+    fallback before building anything (see
+    :func:`repro.core.batch.plan_batch`).
 
     Returns ``(aff_in, aff_out)`` as original-vertex sets: hubs whose
     in-side (forward) respectively out-side (backward) labels need a
@@ -428,8 +437,6 @@ def deletion_affected_hubs(
     many deletions against one frozen graph — the batch engine's edges
     often share endpoints, so the same BFS would otherwise rerun.
     """
-    graph = index.graph
-
     def _dist(source: int, reverse: bool) -> list[float]:
         cache = reverse_dists if reverse else forward_dists
         if cache is None:
@@ -459,9 +466,11 @@ def deletion_affected_hubs(
     # (a_out, a_in): its distance is the cycle length through `a`, not a
     # plain 2d-1 hop distance.  If the deleted edge lies on a shortest
     # cycle through `a`, hub a_in's cycle entry must be repaired too.
-    if (
-        d_from_b[a] is not INF
-        and index.cycle_gb_distance(a) == 2 * (d_from_b[a] + 1) - 1
+    # The shortest cycle through `a` is one hop to an out-neighbour x
+    # plus sd(x, a), so the reverse BFS from `a` already holds its
+    # length; (a, b) lies on one iff b attains the minimum.
+    if d_from_b[a] is not INF and d_from_b[a] == min(
+        d_to_a[x] for x in graph.out_neighbors(a)
     ):
         aff_out.add(a)
     return aff_in, aff_out
@@ -479,7 +488,7 @@ def delete_edge(index: CSCIndex, a: int, b: int) -> UpdateStats:
 
         raise EdgeNotFoundError(a, b)
     # Pre-deletion hop BFSes give the affected-hub conditions exactly.
-    aff_in, aff_out = deletion_affected_hubs(index, a, b)
+    aff_in, aff_out = deletion_affected_hubs(graph, a, b)
     graph.remove_edge(a, b)
     index.ensure_inverted()
     stats = UpdateStats("delete", (a, b))

@@ -27,9 +27,10 @@ The contract, end to end:
   vertex, and the writer never stalls readers;
 * **total recovery** — :func:`~repro.persist.recovery.recover` loads
   the newest valid checkpoint chain, discards any torn WAL tail at the
-  last valid record, replays the acknowledged suffix through
-  ``apply_batch`` with identical framing, and lands bit-identically on
-  the crashed process's last durable state.
+  last valid record, replays the acknowledged suffix with identical
+  framing — each run of rebuild-bound batches folded into the graph
+  and built once, every other batch through ``apply_batch`` — and
+  lands bit-identically on the crashed process's last durable state.
 """
 
 from repro.persist.checkpoint import (

@@ -31,9 +31,8 @@ everything after it are discarded (never an exception, never a partial
 record).  Payloads carry a record kind, a monotonically increasing
 sequence number, and for ``BATCH`` records the epoch-framed batch: the
 exact op list plus the ``on_invalid`` policy and rebuild threshold it
-was applied under, so recovery replays each batch through
-``apply_batch`` with identical framing and therefore lands on identical
-label bytes.  An ``ABORT`` record marks a batch whose application raised
+was applied under, so recovery replays each batch with identical
+framing and therefore lands on identical label bytes.  An ``ABORT`` record marks a batch whose application raised
 (the live engine kept its pre-batch state); recovery skips the matching
 ``BATCH`` record.
 

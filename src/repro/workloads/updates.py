@@ -227,7 +227,7 @@ def low_impact_delete_batch(
     rev: dict[int, list[float]] = {}
     priced = []
     for a, b in candidates:
-        aff_in, aff_out = deletion_affected_hubs(index, a, b, fwd, rev)
+        aff_in, aff_out = deletion_affected_hubs(graph, a, b, fwd, rev)
         priced.append((len(aff_in) + len(aff_out), (a, b), aff_in, aff_out))
     priced.sort(key=lambda item: (item[0], item[1]))
     del_in: set[int] = set()

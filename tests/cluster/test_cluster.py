@@ -20,16 +20,18 @@ import pytest
 
 from repro.cluster import Cluster
 from repro.cluster.replica import replica_main
+from repro.core.counter import ShortestCycleCounter
 from repro.errors import (
     ClusterError,
     ConfigurationError,
     NoReplicaAvailableError,
     ReplicaUnavailableError,
+    WorkerCrashError,
 )
 from repro.graph.digraph import DiGraph
 from repro.persist import WriteAheadLog, recover
 from repro.persist.recovery import WAL_DIR
-from repro.service import DurabilityConfig, ServeConfig, ServeEngine
+from repro.service import ServeConfig, ServeEngine
 from repro.workloads.updates import mixed_update_stream
 
 pytestmark = pytest.mark.persist
@@ -245,14 +247,23 @@ class TestResync:
             )
 
 
-def run_replica_in_thread(data_dir):
+def run_replica_in_thread(data_dir, errors=None):
     """An in-process replica (same loop, same pipe protocol) so a test
-    can interleave WAL writes with its progress deterministically."""
+    can interleave WAL writes with its progress deterministically.
+    With ``errors``, an exception that ends the loop is appended there."""
     import multiprocessing
+
+    def run(*args, **kwargs):
+        try:
+            replica_main(*args, **kwargs)
+        except Exception as exc:
+            if errors is None:
+                raise
+            errors.append(exc)
 
     parent, child = multiprocessing.Pipe()
     thread = threading.Thread(
-        target=replica_main,
+        target=run,
         args=(child, str(data_dir)),
         kwargs={"record_digests": True},
         daemon=True,
@@ -325,6 +336,27 @@ class TestAbortHandling:
             assert status["records_skipped"] == 1
             assert status["epoch"] == final.epoch
             cluster.verify_replicas()
+
+    def test_worker_crash_is_not_a_skip(self, tmp_path, monkeypatch):
+        """A build-worker crash is transient — the primary retries the
+        batch — so the replica must not skip the record and publish
+        past it as if it had failed deterministically: the replica
+        loop ends instead."""
+        recovered = self.seed_dir(tmp_path)
+        errors = []
+        conn, thread = run_replica_in_thread(tmp_path, errors)
+        assert rpc(conn, "status")["epoch"] == recovered.epoch
+
+        def crash(self, *args, **kwargs):
+            raise WorkerCrashError("worker 1 died with exit code -9")
+
+        monkeypatch.setattr(ShortestCycleCounter, "apply_batch", crash)
+        wal = WriteAheadLog(tmp_path / WAL_DIR)
+        wal.append_batch(recovered.last_seq + 1, (("insert", 1, 11),))
+        wal.close()
+        thread.join(10)
+        assert not thread.is_alive()
+        assert [type(exc) for exc in errors] == [WorkerCrashError]
 
     def test_abort_of_an_applied_record_forces_rebootstrap(
         self, tmp_path

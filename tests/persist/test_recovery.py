@@ -12,9 +12,16 @@ import random
 
 import pytest
 
-from repro.errors import RecoveryError
+from repro.core.counter import ShortestCycleCounter
+from repro.core.csc import CSCIndex
+from repro.errors import RecoveryError, ReproError, WorkerCrashError
 from repro.graph.digraph import DiGraph
-from repro.persist import read_wal, recover, replay_reference
+from repro.persist import (
+    DurabilityManager,
+    read_wal,
+    recover,
+    replay_reference,
+)
 from repro.service import ServeEngine
 from repro.workloads.updates import mixed_update_stream
 
@@ -267,3 +274,133 @@ class TestEngineReopen:
     def test_fresh_dir_without_source_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             ServeEngine(data_dir=str(tmp_path / "fresh"))
+
+
+def log_and_apply(data_dir, graph, batches):
+    """Drive a durability manager the way the engine's writer does —
+    log, apply, abort on raise — with no checkpoint past the bootstrap,
+    so every record stays in the replayed suffix.  Returns the live
+    counter and each record's :class:`BatchStats` (``None`` when
+    aborted)."""
+    manager, recovered = DurabilityManager.open(
+        data_dir, checkpoint_wal_bytes=1 << 30
+    )
+    assert recovered is None
+    counter = ShortestCycleCounter.build(graph.copy())
+    manager.bootstrap(counter)
+    outcomes = []
+    for epoch, (ops, on_invalid, threshold) in enumerate(batches, 1):
+        seq = manager.log_batch(ops, on_invalid, threshold)
+        try:
+            stats = counter.apply_batch(
+                ops, rebuild_threshold=threshold, on_invalid=on_invalid
+            )
+        except ReproError:
+            manager.log_abort(seq)
+            outcomes.append(None)
+            continue
+        outcomes.append(stats)
+        manager.note_applied(seq, counter.snapshot(epoch=epoch))
+    manager.sync()
+    manager.close()
+    return counter, outcomes
+
+
+def folding_wal(data_dir):
+    """A WAL of six records: rebuild, rebuild, incremental deletion,
+    aborted, ``on_invalid="skip"``, rebuild.  Returns the initial graph
+    and the live counter."""
+    graph = make_graph(seed=3, n=12, m=30)
+    edges = sorted(graph.edges())
+    absent = next(
+        (a, b) for a in range(12) for b in range(12)
+        if a != b and not graph.has_edge(a, b)
+    )
+    batches = [
+        ([("delete", *edges[0])], "raise", 0.0),
+        ([("delete", *edges[1]), ("insert", *absent)], "raise", 0.0),
+        ([("delete", *edges[2])], "raise", 10.0),
+        ([("delete", *edges[0])], "raise", 0.0),  # already gone: aborts
+        ([("insert", *edges[3]), ("delete", *edges[4])], "skip", 10.0),
+        ([("delete", *edges[5])], "raise", 0.0),
+    ]
+    live, outcomes = log_and_apply(data_dir, graph, batches)
+    assert [s is not None and s.rebuilt for s in outcomes] == [
+        True, True, False, False, False, True,
+    ]
+    assert outcomes[3] is None and outcomes[4].skipped
+    assert outcomes[2].repair_bfs_count > 0
+    return graph, live
+
+
+class TestFoldedReplay:
+    """Rebuild-bound records fold into the graph; one build per run."""
+
+    def test_mixed_wal_matches_serial_replay_with_two_builds(
+        self, tmp_path, monkeypatch
+    ):
+        graph, live = folding_wal(tmp_path)
+        scan = read_wal(tmp_path / "wal")
+        reference = replay_reference(
+            graph.copy(), scan.records, aborted=scan.aborted
+        )
+        builds = []
+        build = CSCIndex.build
+
+        def counting_build(*args, **kwargs):
+            builds.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(CSCIndex, "build", counting_build)
+        result = recover(tmp_path)
+        assert result.counter.to_bytes() == reference.to_bytes()
+        assert result.counter.to_bytes() == live.to_bytes()
+        assert len(builds) == 2
+        assert result.rebuilds == 2
+        assert result.records_replayed == 5
+        assert result.records_skipped == 1
+        assert result.epoch == 5
+        folded = [
+            rec.details["folded_records"]
+            for rec in result.counter.update_log if rec.rebuilt
+        ]
+        assert folded == [2, 1]
+
+    def test_worker_crash_in_a_folded_build_propagates(
+        self, tmp_path, monkeypatch
+    ):
+        graph, _live = folding_wal(tmp_path)
+        scan = read_wal(tmp_path / "wal")
+        reference = replay_reference(
+            graph.copy(), scan.records, aborted=scan.aborted
+        )
+        build = CSCIndex.build
+        crashes = []
+
+        def crash_once(*args, **kwargs):
+            if not crashes:
+                crashes.append(args)
+                raise WorkerCrashError("worker 1 died with exit code -9")
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(CSCIndex, "build", crash_once)
+        # A crashed build is transient, not a property of the batch:
+        # recovery must fail rather than return a state that silently
+        # lacks the folded, acknowledged records.
+        with pytest.raises(WorkerCrashError):
+            recover(tmp_path)
+        assert crashes
+        result = recover(tmp_path)
+        assert result.counter.to_bytes() == reference.to_bytes()
+
+    def test_worker_crash_in_a_replayed_batch_propagates(
+        self, tmp_path, monkeypatch
+    ):
+        folding_wal(tmp_path)  # record 3 replays through apply_batch
+
+        def crash(self, *args, **kwargs):
+            raise WorkerCrashError("worker 1 died with exit code -9")
+
+        monkeypatch.setattr(ShortestCycleCounter, "apply_batch", crash)
+        with pytest.raises(WorkerCrashError):
+            recover(tmp_path)

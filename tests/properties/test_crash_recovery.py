@@ -55,9 +55,11 @@ def make_graph(seed: int) -> DiGraph:
 class WriterHarness:
     """The engine writer's durability call sequence, single-threaded.
 
-    Batches run under alternating ``on_invalid`` policies (drawn by the
-    plan) so both the skip path and the abort path (``raise`` meeting an
-    infeasible op) cross every crash point.
+    Batches run under alternating ``on_invalid`` policies and rebuild
+    thresholds (drawn by the plan), so the skip path, the abort path
+    (``raise`` meeting an infeasible op), the incremental path and the
+    rebuild fallback — which recovery folds into one build — all cross
+    every crash point.
     """
 
     def __init__(self, data_dir, graph, plan):
@@ -79,20 +81,20 @@ class WriterHarness:
         self.consumed = 0
 
     def run(self) -> None:
-        for ops, on_invalid in self.plan:
-            seq = self.manager.log_batch(ops, on_invalid, 0.5)
+        for ops, on_invalid, threshold in self.plan:
+            seq = self.manager.log_batch(ops, on_invalid, threshold)
             self.logged.append(
                 WalRecord(
                     seq=seq,
                     kind=BATCH,
                     ops=tuple(ops),
                     on_invalid=on_invalid,
-                    rebuild_threshold=0.5,
+                    rebuild_threshold=threshold,
                 )
             )
             try:
                 self.counter.apply_batch(
-                    ops, rebuild_threshold=0.5, on_invalid=on_invalid
+                    ops, rebuild_threshold=threshold, on_invalid=on_invalid
                 )
             except ReproError:
                 self.aborted.add(seq)
@@ -114,8 +116,8 @@ def plan_records(batches):
     ``i`` (sequence assignment is deterministic)."""
     return [
         WalRecord(seq=i + 1, kind=BATCH, ops=tuple(ops),
-                  on_invalid=policy, rebuild_threshold=0.5)
-        for i, (ops, policy) in enumerate(batches)
+                  on_invalid=policy, rebuild_threshold=threshold)
+        for i, (ops, policy, threshold) in enumerate(batches)
     ]
 
 
@@ -190,7 +192,10 @@ def crash_plans(draw):
             ops.append((rng.choice(("insert", "delete")), a, b))
         # "raise" batches exercise the abort path when infeasible.
         policy = "raise" if rng.random() < 0.3 else "skip"
-        batches.append((ops, policy))
+        # 0.0 sends every batch with a deletion-affected hub to the
+        # rebuild fallback (folded on recovery), 10.0 none.
+        threshold = draw(st.sampled_from((0.0, 0.5, 10.0)))
+        batches.append((ops, policy, threshold))
     return graph, batches
 
 
@@ -272,15 +277,15 @@ def _reopen_scenario(tmp_path, graph, batches):
     counter = recovered.counter
     logged = list(harness.logged)
     epoch, consumed = recovered.epoch, recovered.ops_applied
-    for ops, on_invalid in second:
-        seq = manager.log_batch(ops, on_invalid, 0.5)
+    for ops, on_invalid, threshold in second:
+        seq = manager.log_batch(ops, on_invalid, threshold)
         logged.append(
             WalRecord(seq=seq, kind=BATCH, ops=tuple(ops),
-                      on_invalid=on_invalid, rebuild_threshold=0.5)
+                      on_invalid=on_invalid, rebuild_threshold=threshold)
         )
         try:
             counter.apply_batch(
-                ops, rebuild_threshold=0.5, on_invalid=on_invalid
+                ops, rebuild_threshold=threshold, on_invalid=on_invalid
             )
         except ReproError:
             manager.log_abort(seq)
