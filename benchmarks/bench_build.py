@@ -1,25 +1,19 @@
-"""Construction benchmark: serial vs multi-worker index builds.
+"""Construction benchmark: serial index-build throughput.
 
 The build phase is the one cost every deployment pays — initial index
 construction, and again on every rebuild fallback of the batch engine.
-This benchmark starts the construction-speed trajectory
+This benchmark keeps the construction-speed trajectory
 (``BENCH_build.json``) alongside the query/update/serving files:
 
-* per benchmark graph, the serial build is timed and then the parallel
-  builder (:mod:`repro.build`) at 2 and 4 workers, with the pool warmed
-  first so the numbers reflect steady-state construction, not process
-  spawn;
-* every parallel build is asserted **bit-identical** (``to_bytes()``)
-  to the serial one before its timing is recorded — the harness refuses
-  to report a speedup for wrong labels;
-* throughput is label entries/second; the wave stats (conflict
-  fraction, broadcast bytes) and peak RSS (master + workers) are
-  recorded so regressions in the schedule show up in the diff, not just
-  in wall clock.
+* per benchmark graph, the full CSC build under degree order is timed
+  (best of ``repeat`` rounds) and reported as label entries/second;
+* the process's peak RSS after each dataset's builds is recorded, so a
+  construction-memory regression shows up in the diff, not just wall
+  clock.
 
-``cpu_count`` is recorded because process parallelism cannot beat the
-hardware: on a single-core runner the expected speedup is <= 1x and the
-trajectory point documents that honestly.
+Construction is one rank-ordered loop of pruned counting BFSes
+(:func:`repro.build.build_label_tables`): each hub's BFS prunes against
+every higher-ranked hub's labels, so the loop is sequential by design.
 
 Usage::
 
@@ -41,136 +35,54 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.build import (  # noqa: E402
-    build_label_tables,
-    shutdown_pool,
-)
 from repro.core.csc import CSCIndex  # noqa: E402
 from repro.graph.datasets import DATASETS  # noqa: E402
-from repro.graph.generators import gnm_random  # noqa: E402
-from repro.labeling.ordering import degree_order, positions  # noqa: E402
+from repro.labeling.ordering import degree_order  # noqa: E402
 
 SCHEMA_VERSION = 1
 DEFAULT_DATASETS = ("G04", "WKT", "WBB")
-DEFAULT_WORKER_COUNTS = (2, 4)
 SEED = 7
 
 
-def _peak_rss_kb() -> dict[str, int]:
-    """High-water resident set sizes, master and (reaped) workers."""
-    return {
-        "self_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
-        "children_kb": resource.getrusage(
-            resource.RUSAGE_CHILDREN
-        ).ru_maxrss,
-    }
-
-
-def _warm_pool(workers: int) -> None:
-    """Spawn/resize the shared pool outside the timed region."""
-    g = gnm_random(40, 120, seed=1)
-    order = degree_order(g)
-    build_label_tables(
-        g, order, positions(order), "csc", workers, serial_prefix=4,
-        wave_base=8,
-    )
-
-
-def bench_build(profile: str, datasets, worker_counts, repeat: int):
+def bench_build(profile: str, datasets, repeat: int):
     out = {
         "datasets": {},
         "workload": "full CSC construction, degree order",
-        "worker_counts": list(worker_counts),
         "cpu_count": os.cpu_count(),
-    }
-    speedups_by_workers: dict[int, list[float]] = {
-        w: [] for w in worker_counts
     }
     for name in datasets:
         graph = DATASETS[name].build(profile, SEED)
         order = degree_order(graph)
-        pos = positions(order)
-
-        serial_ns = None
-        serial_index = None
+        best_ns = None
+        entries = 0
         for _ in range(repeat):
             t0 = time.perf_counter_ns()
-            idx = CSCIndex.build(graph, order, workers=1)
+            index = CSCIndex.build(graph, order)
             elapsed = time.perf_counter_ns() - t0
-            if serial_ns is None or elapsed < serial_ns:
-                serial_ns = elapsed
-                serial_index = idx
-        serial_blob = serial_index.to_bytes()
-        entries = serial_index.total_entries()
-        row = {
+            entries = index.total_entries()
+            if best_ns is None or elapsed < best_ns:
+                best_ns = elapsed
+        out["datasets"][name] = {
             "n": graph.n,
             "m": graph.m,
             "label_entries": entries,
-            "serial": {
-                "seconds": serial_ns / 1e9,
-                "entries_per_sec": entries / (serial_ns / 1e9),
-            },
-            "workers": {},
+            "seconds": best_ns / 1e9,
+            "entries_per_sec": entries / (best_ns / 1e9),
+            # process high-water mark so far (monotone across datasets)
+            "peak_rss_kb": resource.getrusage(
+                resource.RUSAGE_SELF
+            ).ru_maxrss,
         }
-
-        for w in worker_counts:
-            _warm_pool(w)
-            best_ns = None
-            best_stats = None
-            for _ in range(repeat):
-                t0 = time.perf_counter_ns()
-                label_in, label_out, stats = build_label_tables(
-                    graph, order, pos, "csc", w
-                )
-                elapsed = time.perf_counter_ns() - t0
-                par = CSCIndex(graph, list(order), list(pos),
-                               label_in, label_out)
-                if par.to_bytes() != serial_blob:
-                    raise AssertionError(
-                        f"{name}: parallel build (workers={w}) is not "
-                        "bit-identical to the serial build"
-                    )
-                if best_ns is None or elapsed < best_ns:
-                    best_ns = elapsed
-                    best_stats = stats
-            speedup = serial_ns / best_ns
-            speedups_by_workers[w].append(speedup)
-            row["workers"][str(w)] = {
-                "seconds": best_ns / 1e9,
-                "entries_per_sec": entries / (best_ns / 1e9),
-                "speedup_vs_serial": speedup,
-                "bit_identical_to_serial": True,
-                "waves": best_stats.waves,
-                "serial_prefix_hubs": best_stats.serial_hubs,
-                "parallel_hubs": best_stats.parallel_hubs,
-                "conflict_fraction": best_stats.conflict_fraction,
-                "broadcast_bytes": best_stats.broadcast_bytes,
-            }
-        row["peak_rss"] = _peak_rss_kb()
-        out["datasets"][name] = row
-
-    largest = max(
-        out["datasets"],
-        key=lambda k: out["datasets"][k]["n"] * out["datasets"][k]["m"],
-        default=None,
-    ) if out["datasets"] else None
-    out["aggregate"] = {
-        "largest_dataset": largest,
-        **{
-            f"mean_speedup_{w}_workers": (
-                sum(v) / len(v) if v else 0.0
-            )
-            for w, v in speedups_by_workers.items()
-        },
-        **({
-            f"largest_speedup_{w}_workers": (
-                out["datasets"][largest]["workers"][str(w)]
-                ["speedup_vs_serial"]
-            )
-            for w in worker_counts
-        } if largest else {}),
-    }
     return out
+
+
+def print_summary(build: dict) -> None:
+    print(f"BENCH_build.json: serial construction on "
+          f"{build['cpu_count']} cpu(s)")
+    for name, row in build["datasets"].items():
+        print(f"  {name}: {row['entries_per_sec']:.0f} entries/s "
+              f"({row['seconds']:.2f}s, {row['label_entries']} entries, "
+              f"peak RSS {row['peak_rss_kb'] / 1024:.0f} MB)")
 
 
 def main(argv=None) -> int:
@@ -181,20 +93,14 @@ def main(argv=None) -> int:
                         help="dataset scale override (tiny/small/medium)")
     parser.add_argument("--datasets", default=None,
                         help="comma-separated dataset names")
-    parser.add_argument("--workers", default=None,
-                        help="comma-separated worker counts (default 2,4)")
     parser.add_argument("--repeat", type=int, default=None,
-                        help="timing rounds per configuration")
+                        help="timing rounds per dataset")
     parser.add_argument("--out-dir", default=str(REPO_ROOT))
     args = parser.parse_args(argv)
 
     profile = args.profile or ("tiny" if args.smoke else "small")
     datasets = (
         tuple(args.datasets.split(",")) if args.datasets else DEFAULT_DATASETS
-    )
-    worker_counts = (
-        tuple(int(w) for w in args.workers.split(","))
-        if args.workers else DEFAULT_WORKER_COUNTS
     )
     repeat = args.repeat or (1 if args.smoke else 2)
 
@@ -208,35 +114,13 @@ def main(argv=None) -> int:
     }
 
     t0 = time.perf_counter()
-    try:
-        build = {
-            **meta,
-            **bench_build(profile, datasets, worker_counts, repeat),
-        }
-    finally:
-        shutdown_pool()
+    build = {**meta, **bench_build(profile, datasets, repeat)}
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "BENCH_build.json").write_text(
         json.dumps(build, indent=2, sort_keys=True) + "\n"
     )
-    agg = build["aggregate"]
-    cores = build["cpu_count"]
-    print(f"BENCH_build.json: mean speedup "
-          + " / ".join(
-              f"{agg[f'mean_speedup_{w}_workers']:.2f}x@{w}w"
-              for w in worker_counts
-          )
-          + f" on {cores} cpu(s)")
-    for name, row in build["datasets"].items():
-        per_w = " ".join(
-            f"{w}w={row['workers'][str(w)]['speedup_vs_serial']:.2f}x"
-            f"(conf {row['workers'][str(w)]['conflict_fraction']:.0%})"
-            for w in worker_counts
-        )
-        print(f"  {name}: serial "
-              f"{row['serial']['entries_per_sec']:.0f} entries/s "
-              f"({row['serial']['seconds']:.2f}s); {per_w}")
+    print_summary(build)
     print(f"total bench time {time.perf_counter() - t0:.1f}s")
     return 0
 

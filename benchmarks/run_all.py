@@ -4,7 +4,7 @@ Runs the query, update, serving, construction, and durability
 benchmarks on pinned seeds and writes ``BENCH_query.json`` /
 ``BENCH_updates.json`` / ``BENCH_serve.json`` / ``BENCH_build.json`` /
 ``BENCH_recovery.json`` (op/sec, p50/p99 latency, index bytes,
-read-ratio under writes, build speedups, WAL overhead and
+read-ratio under writes, build throughput, WAL overhead and
 recovery-vs-rebuild) so every PR's performance claims are measured
 against the committed trajectory point of the previous one, not
 asserted.  ``benchmarks/check_regression.py`` turns the smoke variants
@@ -22,9 +22,8 @@ of these numbers into a CI gate.
 * **Serving benchmark** (:mod:`bench_serve`) — aggregate reader
   throughput against published snapshots while the single writer drains
   a deletion-heavy stream, as a fraction of the idle read rate.
-* **Construction benchmark** (:mod:`bench_build`) — serial vs
-  multi-worker index builds (entries/sec, wave conflicts, peak RSS),
-  each parallel build asserted bit-identical to the serial one.
+* **Construction benchmark** (:mod:`bench_build`) — serial index
+  build throughput (entries/sec, peak RSS).
 * **Durability benchmark** (:mod:`bench_recovery`) — WAL overhead on
   the serve drain (plain vs fsync'd) and restart cost (warm checkpoint
   load / crash replay) vs a from-scratch rebuild, recovery asserted
@@ -69,10 +68,9 @@ from repro.workloads.updates import (  # noqa: E402
     random_edge_batch,
 )
 
-from bench_build import bench_build  # noqa: E402
+from bench_build import bench_build, print_summary  # noqa: E402
 from bench_recovery import bench_recovery  # noqa: E402
 from bench_serve import bench_serve  # noqa: E402
-from repro.build import shutdown_pool  # noqa: E402
 
 SCHEMA_VERSION = 1
 #: Figure-10 benchmark graphs: one per dataset family tier.
@@ -346,7 +344,7 @@ def _bench_incremental_batch(graph, order, batch_size):
     # the default threshold).
     inc = base.copy()
     t0 = time.perf_counter_ns()
-    stats = apply_batch(inc, ops, rebuild_threshold=2.0, workers=1)
+    stats = apply_batch(inc, ops, rebuild_threshold=2.0)
     inc_ns = time.perf_counter_ns() - t0
     assert not stats.rebuilt
     mismatches = sum(
@@ -362,19 +360,9 @@ def _bench_incremental_batch(graph, order, batch_size):
     # it) — the path the committed mixed-batch config always measured.
     fb = base.copy()
     t0 = time.perf_counter_ns()
-    fb_stats = apply_batch(fb, ops, rebuild_threshold=0.0, workers=1)
+    fb_stats = apply_batch(fb, ops, rebuild_threshold=0.0)
     fb_ns = time.perf_counter_ns() - t0
     assert fb_stats.rebuilt
-
-    # Parallel per-hub repair, bit-identity machine-checked.
-    par = base.copy()
-    t0 = time.perf_counter_ns()
-    par_stats = apply_batch(par, ops, rebuild_threshold=2.0, workers=2)
-    par_ns = time.perf_counter_ns() - t0
-    if par.to_bytes() != inc.to_bytes():
-        raise AssertionError(
-            "parallel repair (workers=2) is not bit-identical to serial"
-        )
 
     return {
         "ops": len(ops),
@@ -398,13 +386,6 @@ def _bench_incremental_batch(graph, order, batch_size):
         # check_regression.py — at an ~8x baseline the gate still trips
         # below ~2.9x, a genuine incremental-path collapse.
         "speedup_vs_rebuild_fallback": fb_ns / inc_ns if inc_ns else 0.0,
-        "workers_2": {
-            "wall_ms": par_ns / 1e6,
-            "bit_identical_to_serial": True,
-            "repair_conflicts": par_stats.details.get(
-                "repair_conflicts", 0
-            ),
-        },
         **_cost_model_inputs(stats),
     }
 
@@ -562,31 +543,14 @@ def main(argv=None) -> int:
               f"writes vs {row['idle_qps_single_thread']:.0f} q/s idle "
               f"({100 * row['read_ratio_vs_idle']:.0f}%)")
 
-    try:
-        build = {
-            **meta,
-            **bench_build(
-                profile,
-                datasets,
-                worker_counts=(2, 4),
-                repeat=1 if args.smoke else 2,
-            ),
-        }
-    finally:
-        shutdown_pool()
+    build = {
+        **meta,
+        **bench_build(profile, datasets, repeat=1 if args.smoke else 2),
+    }
     (out_dir / "BENCH_build.json").write_text(
         json.dumps(build, indent=2, sort_keys=True) + "\n"
     )
-    agg_build = build["aggregate"]
-    print(f"BENCH_build.json: mean build speedup "
-          f"{agg_build['mean_speedup_2_workers']:.2f}x@2w / "
-          f"{agg_build['mean_speedup_4_workers']:.2f}x@4w "
-          f"on {build['cpu_count']} cpu(s)")
-    for name, row in build["datasets"].items():
-        print(f"  {name}: serial {row['serial']['entries_per_sec']:.0f} "
-              f"entries/s; 2w "
-              f"{row['workers']['2']['speedup_vs_serial']:.2f}x "
-              f"(conflicts {row['workers']['2']['conflict_fraction']:.0%})")
+    print_summary(build)
 
     recovery = {
         **meta,

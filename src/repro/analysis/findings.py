@@ -8,7 +8,7 @@ text or JSON and diff them against the checked-in suppression file.
 Suppression file format (one entry per line)::
 
     # comment
-    REP004 src/repro/build/worker.py:445  injected crash simulates ...
+    REP004 src/repro/faults.py:120        deliberate non-library error ...
     REP002 tests/legacy/poker.py          grandfathered; tracked in #12
 
 i.e. ``<rule> <path>[:<line>] <reason>``.  The *reason is mandatory* —

@@ -1,12 +1,12 @@
 """REP003 — bit-layout drift.
 
 The paper's 64-bit packed label entry — ``vertex:23 | distance:17 |
-count:24`` — is encoded independently in three places for speed:
-:mod:`repro.labeling.packing` (the authority), the merge-join kernels
-in :mod:`repro.labeling.labelstore`, and the build worker's wire
-protocol in :mod:`repro.build.worker`.  A drifted shift or mask in any one of them
-is the worst kind of bug: every layer still runs, the numbers are just
-wrong.  This rule constant-folds the module-level layout assignments in
+count:24`` — is encoded in two places: :mod:`repro.labeling.packing`
+(the authority) and the merge-join kernels in
+:mod:`repro.labeling.labelstore`, which re-derive their shifts and
+masks as module constants for speed.  A drifted shift or mask in
+either is the worst kind of bug: every layer still runs, the numbers
+are just wrong.  This rule constant-folds the module-level layout assignments in
 each file and fails unless they all agree with :data:`SPEC` — the one
 declared source of truth.
 

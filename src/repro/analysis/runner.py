@@ -4,8 +4,8 @@ the suppression file, render a report.
 Rule applicability mirrors where each invariant lives when scanning the
 repo's own source (``src/repro``): REP001 looks at ``service``/
 ``persist``, REP002 everywhere (with the ownership-protocol mode inside
-``labelstore.py`` itself), REP003 at the four layout-bearing modules
-(harmlessly at everything else — only watched names produce findings),
+``labelstore.py`` itself), REP003 everywhere (only the watched layout
+names produce findings),
 REP004's raise check everywhere with its swallow check scoped to
 ``persist``/``service``, REP005 at ``persist``.  Paths *outside* the
 repro package — the fixture corpus under ``tests/analysis/fixtures``,

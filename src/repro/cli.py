@@ -3,8 +3,7 @@
 Commands
 --------
 * ``stats <edgelist>`` — graph statistics for a SNAP-style edge list;
-* ``build <edgelist> <index> [--workers N]`` — build a CSC index
-  (optionally with the multi-process wave builder) and persist it;
+* ``build <edgelist> <index>`` — build a CSC index and persist it;
 * ``query <index> <vertex> [vertex ...]`` — SCCnt queries over a saved
   index; ``--batch FILE`` reads a whole query batch (one vertex per
   line for SCCnt, two for SPCnt pairs) and answers it in one batch
@@ -67,10 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="build a CSC index and save it")
     p.add_argument("edgelist")
     p.add_argument("index")
-    p.add_argument("--workers", type=int, default=None,
-                   help="worker processes for index construction "
-                   "(default: $REPRO_BUILD_WORKERS or serial); results "
-                   "are bit-identical to a serial build")
 
     p = sub.add_parser("query", help="SCCnt queries over a saved index")
     p.add_argument("index")
@@ -225,21 +220,15 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_build(args) -> int:
-    from repro.build import resolve_workers
-
     graph = read_edge_list(args.edgelist)
-    workers = resolve_workers(args.workers)
     start = time.perf_counter()
-    counter = ShortestCycleCounter.build(
-        graph, copy_graph=False, workers=workers
-    )
+    counter = ShortestCycleCounter.build(graph, copy_graph=False)
     elapsed = time.perf_counter() - start
     counter.save(args.index)
     stats = counter.stats()
-    how = f"{workers} workers" if workers > 1 else "serial"
     print(
         f"built CSC index for n={stats['n']} m={stats['m']} in "
-        f"{elapsed:.2f}s with {how} ({stats['label_entries']} entries, "
+        f"{elapsed:.2f}s ({stats['label_entries']} entries, "
         f"{stats['size_bytes']} bytes) -> {args.index}"
     )
     return 0
@@ -812,14 +801,13 @@ _COMMANDS = {
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns a process exit code.
 
-    Operational failures — a crashed build worker, a failed serving
-    engine, an unrecoverable data dir, backpressure or read-only write
-    rejection — exit with status 1 and a one-line message instead of a
-    raw traceback; genuine bugs still surface as tracebacks.
+    Operational failures — a failed serving engine, an invalid
+    configuration, an unrecoverable data dir, backpressure or read-only
+    write rejection — exit with status 1 and a one-line message instead
+    of a raw traceback; genuine bugs still surface as tracebacks.
     """
     from repro.errors import (
         BackpressureError,
-        BuildError,
         ClusterError,
         ConfigurationError,
         PersistenceError,
@@ -831,7 +819,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _COMMANDS[args.command](args)
     except (
         BackpressureError,
-        BuildError,
         ClusterError,
         ConfigurationError,
         PersistenceError,

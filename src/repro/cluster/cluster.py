@@ -34,12 +34,14 @@ reports the lag but never routes a query to a dead replica.
 from __future__ import annotations
 
 import hashlib
+import multiprocessing
+import os
+import sys
 import time
 
 from repro.core.counter import ShortestCycleCounter
 from repro.errors import ClusterError, ConfigurationError
 from repro.graph.digraph import DiGraph
-from repro.build.parallel import _context
 from repro.service.config import ServeConfig
 from repro.service.engine import Op, ServeEngine
 from repro.service.snapshot import Snapshot
@@ -49,6 +51,26 @@ from repro.cluster.replica import replica_main
 from repro.cluster.router import ClusterRouter
 
 __all__ = ["Cluster"]
+
+
+def _context():
+    # forkserver: replicas are forked from a clean server process, so
+    # starting them is cheap *and* safe in a threaded parent (the
+    # primary's writer thread is already running when replicas start).
+    # Its bootstrap re-imports __main__ when that module has a file; an
+    # interactive parent ("<stdin>", a REPL) has none that exists on
+    # disk, so there plain fork is the only context whose replicas can
+    # start at all.
+    main_file = getattr(sys.modules.get("__main__"), "__file__", None)
+    importable_main = main_file is None or os.path.exists(main_file)
+    for method in (
+        ("forkserver", "spawn") if importable_main else ("fork",)
+    ):
+        try:
+            return multiprocessing.get_context(method)
+        except ValueError:  # pragma: no cover - platform-dependent
+            continue
+    return multiprocessing.get_context()  # pragma: no cover
 
 
 class Cluster:

@@ -18,9 +18,9 @@ Failure semantics mirror recovery:
 * a record whose ``apply_batch`` raises a deterministic
   :class:`~repro.errors.ReproError` is skipped with **no epoch bump** —
   the primary kept its pre-batch state when the same exception fired;
-* a :class:`~repro.errors.WorkerCrashError` is not deterministic (the
-  primary retries it), so it is never read as "skip": it ends the
-  replica process, and the router takes the replica out of rotation;
+* any other exception says nothing about the record, so it is never
+  read as "skip": it ends the replica process, and the router takes
+  the replica out of rotation;
 * an ``ABORT`` for a record this replica *successfully applied* means
   the primary's failure was nondeterministic and the replica has
   diverged — it re-bootstraps from the newest checkpoint (as does a
@@ -47,7 +47,6 @@ from repro.errors import (
     ReproError,
     WalRolledBackError,
     WalTailGapError,
-    WorkerCrashError,
 )
 from repro.persist.recovery import WAL_DIR, recover
 from repro.persist.tail import WalTailer
@@ -150,8 +149,6 @@ def replica_main(
                     rebuild_threshold=record.rebuild_threshold,
                     on_invalid=record.on_invalid,
                 )
-            except WorkerCrashError:
-                raise  # transient: the primary retried, it did not skip
             except ReproError:
                 records_skipped += 1
                 continue  # deterministic failure: primary skipped too

@@ -55,8 +55,6 @@ BFSes), so once the total repair-side count exceeds
 ``rebuild_threshold`` as a fraction of all vertices, a single
 from-scratch build of the final graph (the paper's Figure 11/12
 strawman) is the cheaper plan and :func:`apply_batch` takes it instead.
-Below the threshold the repair loop itself can run on the build worker
-pool; see :mod:`repro.core.parallel_repair`.
 
 Steps 1–2's discovery and the cost model read the graph and never the
 labels, so they form a separate, mutation-free step, :func:`plan_batch`,
@@ -288,14 +286,11 @@ def plan_batch(
     return plan
 
 
-def rebuild_labels(
-    index: CSCIndex, stats: BatchStats, workers: int | None = None
-) -> None:
+def rebuild_labels(index: CSCIndex, stats: BatchStats) -> None:
     """Replace ``index``'s labels with a from-scratch build of its
     current graph under its own order (the rebuild fallback)."""
     start = time.perf_counter()
-    index.adopt_labels(CSCIndex.build(index.graph, index.order,
-                                      workers=workers))
+    index.adopt_labels(CSCIndex.build(index.graph, index.order))
     stats.details["rebuild_wall_s"] = time.perf_counter() - start
     stats.rebuilt = True
 
@@ -306,7 +301,6 @@ def apply_batch(
     strategy: str = "redundancy",
     rebuild_threshold: float = DEFAULT_REBUILD_THRESHOLD,
     on_invalid: str = "raise",
-    workers: int | None = None,
     on_repair_plan: Callable[[set[int], set[int]], None] | None = None,
 ) -> BatchStats:
     """Apply a mixed batch of ``("insert"|"delete", tail, head)`` ops and
@@ -320,13 +314,6 @@ def apply_batch(
     for the machine-checked version).  The plan — normalization,
     discovery and the rebuild decision — is :func:`plan_batch`; this
     function executes it.
-
-    ``workers`` parallelizes the two expensive phases (``None`` consults
-    ``$REPRO_BUILD_WORKERS``): the per-hub fingerprint repairs go
-    through the speculative pool committer of
-    :mod:`repro.core.parallel_repair` (bit-identical to the serial loop
-    for any worker count), and a rebuild fallback is handed to
-    :meth:`CSCIndex.build` as a parallel build.
 
     ``on_repair_plan``, when given, is called with ``(del_in, del_out)``
     — the hub-position sets needing forward/backward repair — after
@@ -351,7 +338,7 @@ def apply_batch(
 
     if plan.rebuild:
         plan.apply_edges(graph)
-        rebuild_labels(index, stats, workers)
+        rebuild_labels(index, stats)
         return stats
 
     for a, b in plan.deletes:
@@ -362,30 +349,13 @@ def apply_batch(
     if repair_hubs:
         phase_start = time.perf_counter()
         index.ensure_inverted()
-        # Lazy: pulling the pool machinery in at module scope would
-        # cycle through repro.build (same reason CSCIndex.build defers).
-        from repro.build.parallel import resolve_workers
-        from repro.core.parallel_repair import (
-            PARALLEL_REPAIR_MIN_SIDES,
-            repair_hubs_parallel,
-        )
-
-        n_workers = resolve_workers(workers)
-        sides = len(del_in) + len(del_out)
-        if n_workers > 1 and sides >= PARALLEL_REPAIR_MIN_SIDES:
-            conflicts = repair_hubs_parallel(
-                index, del_in, del_out, n_workers, stats
-            )
-            stats.details["repair_workers"] = n_workers
-            stats.details["repair_conflicts"] = conflicts
-        else:
-            for p in sorted(repair_hubs):
-                stats.hubs_processed += 1
-                h = order[p]
-                if p in del_in:
-                    _repair_hub(index, h, forward=True, stats=stats)
-                if p in del_out:
-                    _repair_hub(index, h, forward=False, stats=stats)
+        for p in sorted(repair_hubs):
+            stats.hubs_processed += 1
+            h = order[p]
+            if p in del_in:
+                _repair_hub(index, h, forward=True, stats=stats)
+            if p in del_out:
+                _repair_hub(index, h, forward=False, stats=stats)
         stats.details["repair_wall_s"] = time.perf_counter() - phase_start
 
     # -- INCCNT replay of the insertions on the post-deletion graph ------

@@ -76,19 +76,16 @@ class ShortestCycleCounter:
         order: Sequence[int] | None = None,
         strategy: str = "redundancy",
         copy_graph: bool = True,
-        workers: int | None = None,
     ) -> ShortestCycleCounter:
         """Build a counter over ``graph``.
 
         ``strategy`` selects the maintenance mode for subsequent insertions
         (``"redundancy"``, the paper's recommendation, or ``"minimality"``).
         The graph is copied by default so outside mutation cannot
-        desynchronize the index.  ``workers`` selects multi-process index
-        construction (``None`` consults ``$REPRO_BUILD_WORKERS``); the
-        result is bit-identical to a serial build.
+        desynchronize the index.
         """
         g = graph.copy() if copy_graph else graph
-        return cls(CSCIndex.build(g, order, workers=workers), strategy)
+        return cls(CSCIndex.build(g, order), strategy)
 
     # ------------------------------------------------------------------
     # Queries
@@ -172,7 +169,6 @@ class ShortestCycleCounter:
         ops: Iterable[tuple[str, int, int]],
         rebuild_threshold: float = DEFAULT_REBUILD_THRESHOLD,
         on_invalid: str = "raise",
-        workers: int | None = None,
         on_repair_plan: Callable[[set[int], set[int]], None] | None = None,
     ) -> BatchStats:
         """Apply a mixed batch of ``("insert"|"delete", tail, head)`` ops
@@ -192,7 +188,6 @@ class ShortestCycleCounter:
             self._strategy,
             rebuild_threshold=rebuild_threshold,
             on_invalid=on_invalid,
-            workers=workers,
             on_repair_plan=on_repair_plan,
         )
         self._updates.append(stats)

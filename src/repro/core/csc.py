@@ -36,7 +36,8 @@ dequeues ``w_in`` vertices and hops ``w_in -> w_out -> u_in`` at distance
 ``h_in ≺ u_out  ⇔  pos(h) <= pos(u)`` admits ``u = h`` — the dequeue of the
 hub's own couple is the couple-cycle case, which records the cycle entry and
 prunes (rule (4) of Section IV-C).  The BFS is
-:func:`repro.build.worker.hub_bfs`, shared with HP-SPC.
+:func:`repro.build.hub_bfs`, shared with HP-SPC, and the hubs run one
+after another in rank order (:func:`repro.build.build_label_tables`).
 """
 
 from __future__ import annotations
@@ -157,19 +158,12 @@ class CSCIndex:
         cls,
         graph: DiGraph,
         order: Sequence[int] | None = None,
-        workers: int | None = None,
     ) -> CSCIndex:
         """Build the CSC index (Algorithm 3 with couple-vertex skipping).
 
         ``order`` is an original-graph vertex permutation (highest rank
         first); it defaults to the paper's degree-descending order and is
         lifted to ``Gb`` with couples kept consecutive.
-
-        ``workers`` sets how many processes share the construction
-        (:func:`repro.build.build_label_tables`): ``None`` consults
-        ``$REPRO_BUILD_WORKERS`` and defaults to 1, which runs every hub
-        in rank order on this process.  The result (``to_bytes()``) is
-        the same for any worker count.
         """
         if order is None:
             order_list = degree_order(graph)
@@ -177,11 +171,12 @@ class CSCIndex:
             order_list = list(order)
             validate_order(order_list, graph.n)
         pos = positions(order_list)
-        from repro.build.parallel import build_label_tables, resolve_workers
+        # Deferred: repro.build imports repro.labeling, whose import
+        # chain reaches this module.
+        from repro.build import build_label_tables
 
-        label_in, label_out, _ = build_label_tables(
-            graph, order_list, pos, "csc", resolve_workers(workers)
-        )
+        label_in, label_out = build_label_tables(graph, order_list, pos,
+                                                 csc=True)
         return cls(graph, order_list, pos, label_in, label_out)
 
     def copy(self, copy_graph: bool = True) -> CSCIndex:

@@ -510,13 +510,12 @@ def _repair_hub(
     forward: bool,
     stats: UpdateStats,
     csc: bool = True,
-) -> list[int]:
+) -> None:
     """Re-run the construction BFS for hub ``h`` on the current graph and
     replace the hub's label fingerprint (fresh upserts + stale removals),
-    patching packed entries in place.  Returns the vertices whose stored
-    labels actually changed (the parallel repair committer's write set).
+    patching packed entries in place.
 
-    The BFS is :func:`repro.build.worker.hub_bfs` — same ``csc`` /
+    The BFS is :func:`repro.build.hub_bfs` — same ``csc`` /
     ``forward`` parameters, same seeds, pruning and rank test — run over
     the live store's hub maps instead of tuple lists; ``csc=False``
     repairs an :class:`~repro.labeling.hpspc.HPSPCIndex`."""
@@ -586,22 +585,8 @@ def _repair_hub(
                 elif d_u == d_next:
                     cnt[u] += c_w
 
-    return _commit_fingerprint(target, inv, ph, fresh, stats)
-
-
-def _commit_fingerprint(
-    target: LabelStore,
-    inv: list[set[int]],
-    ph: int,
-    fresh: dict[int, tuple[int, int, bool]],
-    stats: UpdateStats,
-) -> list[int]:
-    """Replace hub ``ph``'s fingerprint on ``target`` with ``fresh``
-    (upserts + stale removals via the inverted index), patching packed
-    entries in place.  Shared by the serial repair above and the
-    speculative commits of :mod:`repro.core.parallel_repair`.  Returns
-    the vertices whose stored labels actually changed."""
-    changed: list[int] = []
+    # Replace the hub's fingerprint: upserts, then stale removals via
+    # the inverted index.
     stale = inv[ph] - fresh.keys()
     for w, (d, c, flag) in fresh.items():
         i = target.hub_index(w, ph)
@@ -609,17 +594,13 @@ def _commit_fingerprint(
             if target.decode(w, i)[1:] != (d, c, flag):
                 target.set_at(w, i, ph, d, c, flag)
                 stats.entries_updated += 1
-                changed.append(w)
         else:
             target.insert_sorted(w, ph, d, c, flag)
             inv[ph].add(w)
             stats.entries_added += 1
-            changed.append(w)
     for w in stale:
         i = target.hub_index(w, ph)
         if i >= 0:
             target.delete_at(w, i)
             stats.entries_removed += 1
-            changed.append(w)
         inv[ph].discard(w)
-    return changed

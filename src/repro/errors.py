@@ -214,18 +214,6 @@ class DurabilityUnavailableError(PersistenceError):
     """
 
 
-class BuildError(ReproError):
-    """Parallel index construction failed (see also the subclasses)."""
-
-
-class WorkerCrashError(BuildError):
-    """A build worker process died without reporting a result.
-
-    Carries the worker's exit code when the process is gone, or the
-    formatted traceback it managed to ship before exiting.
-    """
-
-
 class WalTailGapError(PersistenceError):
     """A WAL tailer's cursor points past the start of the surviving log.
 

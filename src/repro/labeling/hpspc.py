@@ -99,17 +99,13 @@ class HPSPCIndex:
         cls,
         graph: DiGraph,
         order: Sequence[int] | None = None,
-        workers: int | None = None,
     ) -> HPSPCIndex:
         """Build the index with pruned counting BFS per hub.
 
         ``order`` defaults to the paper's degree-descending order; pass an
         explicit permutation (highest rank first) to pin tie-breaks.
-        ``workers`` sets how many processes share the construction
-        (:func:`repro.build.build_label_tables`; ``None`` consults
-        ``$REPRO_BUILD_WORKERS`` and defaults to 1, which runs every hub
-        in rank order on this process); the result is the same for any
-        worker count.
+        The hubs run in rank order
+        (:func:`repro.build.build_label_tables`).
         """
         if order is None:
             order_list = degree_order(graph)
@@ -117,11 +113,12 @@ class HPSPCIndex:
             order_list = list(order)
             validate_order(order_list, graph.n)
         pos = positions(order_list)
-        from repro.build.parallel import build_label_tables, resolve_workers
+        # Deferred: repro.build imports repro.labeling, whose package
+        # init imports this module.
+        from repro.build import build_label_tables
 
-        label_in, label_out, _ = build_label_tables(
-            graph, order_list, pos, "hpspc", resolve_workers(workers)
-        )
+        label_in, label_out = build_label_tables(graph, order_list, pos,
+                                                 csc=False)
         return cls(graph, order_list, pos, label_in, label_out)
 
     # ------------------------------------------------------------------

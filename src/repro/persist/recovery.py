@@ -27,9 +27,9 @@ an ``ABORT`` is skipped, and so is a record whose plan or
 ``apply_batch`` raises a deterministic library error — the live engine
 kept its pre-batch state when the same exception fired, and its
 ``ABORT`` marker may simply not have reached the disk before the crash.
-A :class:`~repro.errors.WorkerCrashError` is not deterministic (the
-engine retries it), so it propagates out of :func:`recover` rather than
-silently dropping an acknowledged batch.
+Any other exception (a bug, ``MemoryError``) says nothing about the
+batch, so it propagates out of :func:`recover` rather than silently
+dropping an acknowledged batch.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from pathlib import Path
 from repro.core.batch import BatchStats, plan_batch
 from repro.core.counter import ShortestCycleCounter
 from repro.core.csc import CSCIndex
-from repro.errors import RecoveryError, ReproError, WorkerCrashError
+from repro.errors import RecoveryError, ReproError
 from repro.graph.digraph import DiGraph
 from repro.labeling.ordering import positions
 from repro.persist.checkpoint import CheckpointStore
@@ -98,8 +98,6 @@ def _replay_record(
             on_invalid=record.on_invalid,
         )
         return True
-    except WorkerCrashError:
-        raise  # transient: the live engine retried, it did not skip
     except ReproError:
         return False
 

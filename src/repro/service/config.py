@@ -6,7 +6,7 @@ dataclasses composed by :class:`ServeConfig`:
 
 * :class:`DurabilityConfig` — WAL/checkpoint placement and cadence
 * :class:`AdmissionConfig` — bounded-queue backpressure policy
-* :class:`DeferConfig` — deferred deletion repair and its worker pool
+* :class:`DeferConfig` — deferred deletion repair
 * :class:`RetryConfig` — transient-fault retry and probe backoff
 
 Every field validates in ``__post_init__`` and raises
@@ -197,26 +197,13 @@ class AdmissionConfig:
 
 @dataclass(frozen=True)
 class DeferConfig:
-    """Deferred deletion repair (background DECCNT) and its workers."""
+    """Deferred deletion repair (background DECCNT)."""
 
     defer_deletions: bool = _cfg(
         False,
         "hand deletion batches to a background repair thread instead "
         "of repairing them on the writer",
     )
-    workers: int | None = _cfg(
-        None,
-        "worker processes for parallel DECCNT repair and the rebuild "
-        "fallback (default: consult $REPRO_BUILD_WORKERS)",
-        arg=int,
-    )
-
-    def __post_init__(self) -> None:
-        if self.workers is not None and self.workers < 1:
-            raise ConfigurationError(
-                "workers must be at least 1 (or None to consult "
-                "$REPRO_BUILD_WORKERS)"
-            )
 
 
 @dataclass(frozen=True)
@@ -225,8 +212,8 @@ class RetryConfig:
 
     io_retries: int = _cfg(
         4,
-        "bounded retries for transient faults (WAL appends and batch "
-        "applies) before escalating",
+        "bounded retries for transient WAL-append faults before "
+        "escalating",
         arg=int,
     )
     io_backoff_s: float = _cfg(

@@ -34,9 +34,11 @@ as fatal:
   :attr:`ServeStats.quarantined`, and the writer *resumes the stream*;
   ``on_poison="fail"`` keeps the pre-taxonomy behavior (sticky failure
   surfaced by :meth:`flush`).
-* **transient** — a :class:`~repro.errors.WorkerCrashError` or an
-  ``OSError`` with a disk-pressure errno (``ENOSPC``/``EIO``) is
-  retried with bounded exponential backoff (``io_retries`` attempts).
+* **transient** — a WAL append failing with a disk-pressure errno
+  (``ENOSPC``/``EIO``) is retried with bounded exponential backoff
+  (``io_retries`` attempts).  ``apply_batch`` itself is never
+  retried: it may fail after mutating the graph, and a retry would run
+  the batch against a state it was not planned on.
 * **durability outage** — a WAL append still failing after its retries
   drives the health machine to ``read_only``: the batch is *parked*
   (not lost, not acked), new writes are rejected with
@@ -78,7 +80,6 @@ from repro.errors import (
     ServiceFailedError,
     ServiceStoppedError,
     VertexError,
-    WorkerCrashError,
 )
 from repro.graph.digraph import DiGraph
 from repro.persist.deadletter import (
@@ -144,7 +145,7 @@ class ServeStats:
     ops_rejected: int = 0
     #: health state (see :mod:`repro.service.health`)
     health: str = HEALTHY
-    #: transient-fault retries performed (WAL appends + batch applies)
+    #: transient-fault retries performed (WAL appends)
     io_retries: int = 0
     #: WAL append attempts that raised a transient errno
     wal_append_failures: int = 0
@@ -304,7 +305,6 @@ class ServeEngine:
         self._on_invalid = config.on_invalid
         self._monitor = monitor
         self._on_publish = on_publish
-        self._workers = config.defer.workers
         self._defer = config.defer.defer_deletions
         self._on_defer = on_defer
         self._max_queue_depth = config.admission.max_queue_depth
@@ -1147,74 +1147,51 @@ class ServeEngine:
         self, ops: list[Op], seq: int | None, defer: bool = False
     ) -> None:
         dur = self._durability
-        attempts = 0
-        backoff = self._io_backoff_s
-        while True:
-            failure: BaseException | None = None
-            transient = poison = False
-            on_plan = None
-            if defer:
-                # Tombstone exactly the hubs whose fingerprints the
-                # repair is about to invalidate, for exactly the
-                # mutation window: set when the repair plan is known
-                # (before any label or graph mutation), cleared when
-                # apply_batch returns (the labels are clean again —
-                # repaired, or swapped by the rebuild fallback).
-                # Tombstones are in-memory only, so the WAL/recovery
-                # path never sees them.
-                index = self._counter.index
-                store_in, store_out = index.store_in, index.store_out
+        on_plan = None
+        if defer:
+            # Tombstone exactly the hubs whose fingerprints the repair
+            # is about to invalidate, for exactly the mutation window:
+            # set when the repair plan is known (before any label or
+            # graph mutation), cleared when apply_batch returns (the
+            # labels are clean again — repaired, or swapped by the
+            # rebuild fallback).  Tombstones are in-memory only, so the
+            # WAL/recovery path never sees them.
+            index = self._counter.index
+            store_in, store_out = index.store_in, index.store_out
 
-                def on_plan(del_in: set[int], del_out: set[int]) -> None:
-                    store_in.tombstone_hubs(del_in)
-                    store_out.tombstone_hubs(del_out)
-                    if self._on_defer is not None:
-                        self._on_defer()
+            def on_plan(del_in: set[int], del_out: set[int]) -> None:
+                store_in.tombstone_hubs(del_in)
+                store_out.tombstone_hubs(del_out)
+                if self._on_defer is not None:
+                    self._on_defer()
 
+        try:
             try:
-                try:
-                    stats = self._counter.apply_batch(
-                        ops,
-                        rebuild_threshold=self._rebuild_threshold,
-                        on_invalid=self._on_invalid,
-                        workers=self._workers,
-                        on_repair_plan=on_plan,
-                    )
-                finally:
-                    if defer:
-                        store_in.clear_tombstones()
-                        store_out.clear_tombstones()
-            except WorkerCrashError as exc:
-                failure, transient = exc, True
-            except OSError as exc:
-                failure = exc
-                transient = exc.errno in _TRANSIENT_ERRNOS
-            except ReproError as exc:
-                # Deterministic by construction: apply_batch raising a
-                # library error is a property of the batch against this
-                # graph state, not of the environment — it would raise
-                # again on retry and on recovery replay.
-                failure, poison = exc, True
-            except BaseException as exc:  # noqa: BLE001 - via flush()
-                failure = exc
-            if failure is None:
-                break
-            if transient:
-                attempts += 1
-                if attempts <= self._io_retries:
-                    with self._progress:
-                        self._io_retry_count += 1
-                    time.sleep(backoff)
-                    backoff = min(
-                        backoff * 2, self._probe_max_backoff_s
-                    )
-                    continue
-                self._abort_and_record(ops, seq, failure)
-                return
-            if poison and self._on_poison == "quarantine":
-                self._quarantine(ops, seq, failure)
-                return
-            self._abort_and_record(ops, seq, failure)
+                stats = self._counter.apply_batch(
+                    ops,
+                    rebuild_threshold=self._rebuild_threshold,
+                    on_invalid=self._on_invalid,
+                    on_repair_plan=on_plan,
+                )
+            finally:
+                if defer:
+                    store_in.clear_tombstones()
+                    store_out.clear_tombstones()
+        except ReproError as exc:
+            # Deterministic by construction: apply_batch raising a
+            # library error is a property of the batch against this
+            # graph state, not of the environment — it would raise
+            # again on retry and on recovery replay.
+            if self._on_poison == "quarantine":
+                self._quarantine(ops, seq, exc)
+            else:
+                self._abort_and_record(ops, seq, exc)
+            return
+        except BaseException as exc:  # noqa: BLE001 - via flush()
+            # Never retried: apply_batch may already have mutated the
+            # graph, so a second attempt would run against a different
+            # state than the one the batch was planned on.
+            self._abort_and_record(ops, seq, exc)
             return
         try:
             prev = self._published

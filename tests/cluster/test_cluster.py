@@ -26,7 +26,6 @@ from repro.errors import (
     ConfigurationError,
     NoReplicaAvailableError,
     ReplicaUnavailableError,
-    WorkerCrashError,
 )
 from repro.graph.digraph import DiGraph
 from repro.persist import WriteAheadLog, recover
@@ -337,18 +336,17 @@ class TestAbortHandling:
             assert status["epoch"] == final.epoch
             cluster.verify_replicas()
 
-    def test_worker_crash_is_not_a_skip(self, tmp_path, monkeypatch):
-        """A build-worker crash is transient — the primary retries the
-        batch — so the replica must not skip the record and publish
-        past it as if it had failed deterministically: the replica
-        loop ends instead."""
+    def test_unexpected_error_is_not_a_skip(self, tmp_path, monkeypatch):
+        """A non-library error says nothing about the batch, so the
+        replica must not skip the record and publish past it as if it
+        had failed deterministically: the replica loop ends instead."""
         recovered = self.seed_dir(tmp_path)
         errors = []
         conn, thread = run_replica_in_thread(tmp_path, errors)
         assert rpc(conn, "status")["epoch"] == recovered.epoch
 
         def crash(self, *args, **kwargs):
-            raise WorkerCrashError("worker 1 died with exit code -9")
+            raise RuntimeError("apply interrupted")
 
         monkeypatch.setattr(ShortestCycleCounter, "apply_batch", crash)
         wal = WriteAheadLog(tmp_path / WAL_DIR)
@@ -356,7 +354,7 @@ class TestAbortHandling:
         wal.close()
         thread.join(10)
         assert not thread.is_alive()
-        assert [type(exc) for exc in errors] == [WorkerCrashError]
+        assert [type(exc) for exc in errors] == [RuntimeError]
 
     def test_abort_of_an_applied_record_forces_rebootstrap(
         self, tmp_path

@@ -14,7 +14,7 @@ import pytest
 
 from repro.core.counter import ShortestCycleCounter
 from repro.core.csc import CSCIndex
-from repro.errors import RecoveryError, ReproError, WorkerCrashError
+from repro.errors import RecoveryError, ReproError
 from repro.graph.digraph import DiGraph
 from repro.persist import (
     DurabilityManager,
@@ -366,7 +366,7 @@ class TestFoldedReplay:
         ]
         assert folded == [2, 1]
 
-    def test_worker_crash_in_a_folded_build_propagates(
+    def test_unexpected_error_in_a_folded_build_propagates(
         self, tmp_path, monkeypatch
     ):
         graph, _live = folding_wal(tmp_path)
@@ -380,27 +380,27 @@ class TestFoldedReplay:
         def crash_once(*args, **kwargs):
             if not crashes:
                 crashes.append(args)
-                raise WorkerCrashError("worker 1 died with exit code -9")
+                raise RuntimeError("build interrupted")
             return build(*args, **kwargs)
 
         monkeypatch.setattr(CSCIndex, "build", crash_once)
-        # A crashed build is transient, not a property of the batch:
-        # recovery must fail rather than return a state that silently
-        # lacks the folded, acknowledged records.
-        with pytest.raises(WorkerCrashError):
+        # A non-library error says nothing about the batch: recovery
+        # must fail rather than return a state that silently lacks the
+        # folded, acknowledged records.
+        with pytest.raises(RuntimeError, match="build interrupted"):
             recover(tmp_path)
         assert crashes
         result = recover(tmp_path)
         assert result.counter.to_bytes() == reference.to_bytes()
 
-    def test_worker_crash_in_a_replayed_batch_propagates(
+    def test_unexpected_error_in_a_replayed_batch_propagates(
         self, tmp_path, monkeypatch
     ):
         folding_wal(tmp_path)  # record 3 replays through apply_batch
 
         def crash(self, *args, **kwargs):
-            raise WorkerCrashError("worker 1 died with exit code -9")
+            raise RuntimeError("apply interrupted")
 
         monkeypatch.setattr(ShortestCycleCounter, "apply_batch", crash)
-        with pytest.raises(WorkerCrashError):
+        with pytest.raises(RuntimeError, match="apply interrupted"):
             recover(tmp_path)

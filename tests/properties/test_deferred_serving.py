@@ -97,13 +97,12 @@ class TestDeferredMatchesEager:
 
     @settings(deadline=None, max_examples=25)
     @given(data=st.data())
-    def test_identical_under_repair_threshold_and_workers(self, data):
+    def test_identical_under_repair_threshold(self, data):
         """Same property with the rebuild fallback suppressed (pure
-        fingerprint repairs) and a parallel background repair."""
+        fingerprint repairs)."""
         g, batches = data.draw(graphs_with_op_batches(max_batches=3))
         eager, _ = _drive(g, batches, defer=False, rebuild_threshold=2.0)
-        deferred, _ = _drive(g, batches, defer=True, rebuild_threshold=2.0,
-                             workers=2)
+        deferred, _ = _drive(g, batches, defer=True, rebuild_threshold=2.0)
         assert deferred == eager
 
 

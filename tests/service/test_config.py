@@ -17,7 +17,6 @@ from repro.errors import ConfigurationError
 from repro.graph.digraph import DiGraph
 from repro.service import (
     AdmissionConfig,
-    DeferConfig,
     DurabilityConfig,
     RetryConfig,
     ServeConfig,
@@ -61,7 +60,8 @@ class TestFieldValidation:
             lambda: AdmissionConfig(
                 max_queue_depth=4, submit_timeout=-1.0
             ),
-            lambda: DeferConfig(workers=0),
+            # the retired worker-count knob is unknown, not ignored
+            lambda: ServeConfig.from_kwargs(workers=2),
             lambda: RetryConfig(io_retries=-1),
             lambda: RetryConfig(io_backoff_s=-0.1),
         ],
@@ -123,7 +123,6 @@ class TestRoundTrips:
         backpressure="shed",
         submit_timeout=2.5,
         defer_deletions=True,
-        workers=2,
         io_retries=1,
         io_backoff_s=0.5,
         probe_backoff_s=0.25,

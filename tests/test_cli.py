@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.csc import CSCIndex
 from repro.graph.io import write_edge_list
 from repro.paperdata import figure2_graph
 
@@ -71,20 +72,20 @@ class TestCommands:
             if line.strip() and line.split()[0] == "6"
         )
 
-    def test_build_workers_flag_bit_identical(
+    def test_build_is_bit_identical_across_runs(
         self, fig2_file, tmp_path, capsys
     ):
-        serial_path = str(tmp_path / "serial.idx")
-        parallel_path = str(tmp_path / "parallel.idx")
-        assert main(["build", fig2_file, serial_path]) == 0
-        assert main(
-            ["build", fig2_file, parallel_path, "--workers", "2"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "2 workers" in out
-        with open(serial_path, "rb") as f_serial, \
-                open(parallel_path, "rb") as f_parallel:
-            assert f_serial.read() == f_parallel.read()
+        first_path = str(tmp_path / "first.idx")
+        second_path = str(tmp_path / "second.idx")
+        assert main(["build", fig2_file, first_path]) == 0
+        assert main(["build", fig2_file, second_path]) == 0
+        assert capsys.readouterr().out.count("built CSC index") == 2
+        with open(first_path, "rb") as f_first, \
+                open(second_path, "rb") as f_second:
+            assert f_first.read() == f_second.read()
+        # construction is serial; there is no worker-count flag
+        with pytest.raises(SystemExit):
+            main(["build", fig2_file, first_path, "--workers", "2"])
 
     def test_query_out_of_range(self, fig2_file, tmp_path, capsys):
         index_path = str(tmp_path / "fig2.idx")
@@ -229,16 +230,28 @@ class TestOperationalErrorHandling:
     def test_build_error_exits_one_with_message(
         self, fig2_file, capsys, monkeypatch
     ):
-        from repro import cli
-        from repro.errors import WorkerCrashError
+        from repro.errors import ConfigurationError
 
-        def boom(args):
-            raise WorkerCrashError("worker 3 died with exit code -9")
+        def boom(*args, **kwargs):
+            raise ConfigurationError("order has 9 vertices, graph has 10")
 
-        monkeypatch.setitem(cli._COMMANDS, "build", boom)
+        monkeypatch.setattr(CSCIndex, "build", boom)
         assert main(["build", fig2_file, "out.idx"]) == 1
         captured = capsys.readouterr()
-        assert captured.err == "error: worker 3 died with exit code -9\n"
+        assert captured.err == (
+            "error: order has 9 vertices, graph has 10\n"
+        )
+
+    def test_unexpected_build_error_is_not_swallowed(
+        self, fig2_file, monkeypatch
+    ):
+        def boom(*args, **kwargs):
+            raise RuntimeError("build interrupted")
+
+        monkeypatch.setattr(CSCIndex, "build", boom)
+        # a bug is not an operational failure: it keeps its traceback
+        with pytest.raises(RuntimeError, match="build interrupted"):
+            main(["build", fig2_file, "out.idx"])
 
     def test_service_failure_exits_one_with_message(
         self, fig2_file, capsys, monkeypatch
