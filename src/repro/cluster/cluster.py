@@ -43,7 +43,7 @@ from repro.core.counter import ShortestCycleCounter
 from repro.errors import ClusterError, ConfigurationError
 from repro.graph.digraph import DiGraph
 from repro.service.config import ServeConfig
-from repro.service.engine import Op, ServeEngine
+from repro.service.engine import ServeEngine
 from repro.service.snapshot import Snapshot
 
 from repro.cluster.client import ReplicaClient

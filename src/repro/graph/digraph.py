@@ -124,6 +124,13 @@ class DiGraph:
         self._check_vertex(v)
         return self._in[v]
 
+    def adjacency(self, out: bool) -> Sequence[Sequence[int]]:
+        """Every vertex's successors (``out``) or predecessors, indexed by
+        vertex, without a per-vertex range check — for kernels that visit
+        many vertices.  Neither the outer nor the inner sequences may be
+        mutated."""
+        return self._out if out else self._in
+
     def out_degree(self, v: int) -> int:
         """Number of successors of ``v``."""
         self._check_vertex(v)

@@ -18,10 +18,10 @@ from repro.errors import ConfigurationError, ReproError
 class TestParseSuppressions:
     def test_full_entry(self):
         (s,) = parse_suppressions(
-            "REP004 src/repro/build/worker.py:447 injected crash\n"
+            "REP004 src/repro/faults.py:120 injected crash\n"
         )
         assert s == Suppression(
-            "REP004", "src/repro/build/worker.py", 447, "injected crash", 1
+            "REP004", "src/repro/faults.py", 120, "injected crash", 1
         )
 
     def test_entry_without_line_pin(self):
@@ -34,7 +34,7 @@ class TestParseSuppressions:
 
     def test_missing_reason_is_a_configuration_error(self):
         with pytest.raises(ConfigurationError, match="mandatory"):
-            parse_suppressions("REP004 src/repro/build/worker.py:447\n")
+            parse_suppressions("REP004 src/repro/faults.py:120\n")
 
     def test_unknown_rule_id_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown rule"):

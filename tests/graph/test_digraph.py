@@ -114,6 +114,15 @@ class TestDegrees:
         with pytest.raises(VertexError):
             g.degree(1)
 
+    def test_adjacency_matches_per_vertex_neighbors(self):
+        g = DiGraph.from_edges(4, [(0, 1), (0, 2), (1, 0), (3, 0)])
+        g.remove_edge(0, 2)
+        out, inn = g.adjacency(True), g.adjacency(False)
+        assert len(out) == len(inn) == g.n
+        for v in g.vertices():
+            assert list(out[v]) == list(g.out_neighbors(v))
+            assert list(inn[v]) == list(g.in_neighbors(v))
+
 
 class TestDerivedGraphs:
     def test_copy_is_independent(self):
