@@ -9,7 +9,7 @@ process runs and raises :class:`~repro.errors.LockOrderError` *before
 blocking* on any acquisition that would
 
 * invert the declared ranks (the static rule's canonical order:
-  ``_defer_lock(10) -> _dur_lock(20) -> _lock(30)``), or
+  ``_dur_lock(20) -> _lock(30)``), or
 * close a cycle in the observed acquisition graph (two unranked locks
   taken in both orders on any two code paths — a deadlock waiting for
   the right interleaving), or

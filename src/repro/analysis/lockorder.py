@@ -1,10 +1,9 @@
 """REP001 — static lock-order extraction for the serving stack.
 
 The serving engine's discipline is documented but nowhere enforced:
-``_defer_lock`` (deferred-repair hand-off) may be taken before
 ``_dur_lock`` (durability serialization) may be taken before ``_lock``
 (engine state, aliased by the ``_progress`` condition) — and never the
-other way around.  Today no two of the three are ever held together;
+other way around.  Today the two are never held together;
 this rule keeps it that way *by construction* as the cluster tier adds
 threads: it extracts the static lock-acquisition graph from ``with``
 nesting (including across helper calls one level deep) and fails on
@@ -33,7 +32,7 @@ __all__ = ["CANONICAL_ORDER", "LOCK_ALIASES", "check_lock_order"]
 RULE = "REP001"
 
 #: Outermost-first canonical order for the serving stack's named locks.
-CANONICAL_ORDER: tuple[str, ...] = ("_defer_lock", "_dur_lock", "_lock")
+CANONICAL_ORDER: tuple[str, ...] = ("_dur_lock", "_lock")
 
 #: Condition variables that guard (and thus *are*) another lock.
 LOCK_ALIASES: dict[str, str] = {"_progress": "_lock"}

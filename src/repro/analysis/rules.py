@@ -25,16 +25,16 @@ __all__ = [
 
 #: Every attribute that is LabelStore state: the packed ground truth
 #: (per-vertex ``array('Q')`` rows, canonical bitsets, overflow
-#: tables, tombstones) plus the lazy accelerator caches and the
+#: tables) plus the lazy accelerator caches and the
 #: copy-on-write bookkeeping.
 STORE_ATTRS = frozenset({
-    "packed", "canon", "big", "_maps", "_bydist", "_dists", "_stale",
+    "packed", "canon", "big", "_maps", "_bydist", "_dists",
     "_owner", "_epoch", "_frozen",
 })
 
 #: The subset that is label *data* — mutating these without ownership
 #: corrupts every snapshot sharing the vertex.
-GROUND_TRUTH = frozenset({"packed", "canon", "big", "_stale"})
+GROUND_TRUTH = frozenset({"packed", "canon", "big"})
 
 #: In-place mutator methods on lists/sets/dicts/arrays.
 _MUTATORS = frozenset({
@@ -208,7 +208,7 @@ _BANNED_RAISES = frozenset({"Exception", "ValueError", "RuntimeError"})
 #: fault classifier (quarantine / retry / read-only / sticky).
 _CLASSIFIERS = frozenset({
     "_record_failure", "_quarantine", "_abort_and_record",
-    "_fail_engine", "_enter_read_only", "_park_until_durable",
+    "_enter_read_only", "_park_until_durable",
 })
 
 
@@ -249,7 +249,7 @@ def check_error_taxonomy(tree: ast.Module, path: str,
                 "'except Exception' swallowed without re-raising or "
                 "routing through the fault classifier "
                 "(_record_failure/_quarantine/_abort_and_record/"
-                "_fail_engine/_enter_read_only)",
+                "_enter_read_only)",
             ))
     return findings
 

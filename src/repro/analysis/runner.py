@@ -40,7 +40,7 @@ __all__ = ["analyze", "analyze_paths", "default_root",
 #: Rule id -> one-line description (documentation + ``--list-rules``).
 RULES: dict[str, str] = {
     "REP001": "lock-order: with-nesting must follow the canonical "
-              "_defer_lock -> _dur_lock -> _lock order, acyclically",
+              "_dur_lock -> _lock order, acyclically",
     "REP002": "frozen-store mutation: packed-store state changes only "
               "through LabelStore's ownership protocol",
     "REP003": "bit-layout drift: every copy of the 23/17/24 packed "

@@ -69,7 +69,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from repro.core.csc import CSCIndex
 from repro.core.maintenance import (
@@ -301,7 +301,6 @@ def apply_batch(
     strategy: str = "redundancy",
     rebuild_threshold: float = DEFAULT_REBUILD_THRESHOLD,
     on_invalid: str = "raise",
-    on_repair_plan: Callable[[set[int], set[int]], None] | None = None,
 ) -> BatchStats:
     """Apply a mixed batch of ``("insert"|"delete", tail, head)`` ops and
     repair the index with one fingerprint pass per distinct
@@ -315,11 +314,10 @@ def apply_batch(
     discovery and the rebuild decision — is :func:`plan_batch`; this
     function executes it.
 
-    ``on_repair_plan``, when given, is called with ``(del_in, del_out)``
-    — the hub-position sets needing forward/backward repair — after
-    affected-hub discovery but *before* any graph or label mutation.
-    The deferred-repair serving path uses this seam to tombstone exactly
-    the hubs whose fingerprints are about to go stale.
+    Not atomic: an invalid batch raises from the plan step before any
+    mutation, but both branches change the graph's edges before the
+    repair or rebuild runs, so a failure there leaves the graph changed
+    and the labels unrepaired.
     """
     _check_strategy(strategy)
     graph = index.graph
@@ -329,17 +327,15 @@ def apply_batch(
     if not plan.inserts and not plan.deletes:
         return stats
 
-    pos = index.pos
-    order = index.order
-    del_in = {pos[v] for v in plan.aff_in}  # hub positions, forward repair
-    del_out = {pos[v] for v in plan.aff_out}  # backward repair
-    if on_repair_plan is not None:
-        on_repair_plan(del_in, del_out)
-
     if plan.rebuild:
         plan.apply_edges(graph)
         rebuild_labels(index, stats)
         return stats
+
+    pos = index.pos
+    order = index.order
+    del_in = {pos[v] for v in plan.aff_in}  # hub positions, forward repair
+    del_out = {pos[v] for v in plan.aff_out}  # backward repair
 
     for a, b in plan.deletes:
         graph.remove_edge(a, b)

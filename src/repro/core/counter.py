@@ -17,7 +17,7 @@ CycleCount(count=1, length=4)
 from __future__ import annotations
 
 from pathlib import Path
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from typing import TYPE_CHECKING
 
 from repro.core.batch import (
@@ -169,7 +169,6 @@ class ShortestCycleCounter:
         ops: Iterable[tuple[str, int, int]],
         rebuild_threshold: float = DEFAULT_REBUILD_THRESHOLD,
         on_invalid: str = "raise",
-        on_repair_plan: Callable[[set[int], set[int]], None] | None = None,
     ) -> BatchStats:
         """Apply a mixed batch of ``("insert"|"delete", tail, head)`` ops
         with one repair pass per distinct affected hub (BATCH-INCCNT/
@@ -188,7 +187,6 @@ class ShortestCycleCounter:
             self._strategy,
             rebuild_threshold=rebuild_threshold,
             on_invalid=on_invalid,
-            on_repair_plan=on_repair_plan,
         )
         self._updates.append(stats)
         return stats

@@ -46,7 +46,7 @@ from bisect import bisect_left
 from collections.abc import Sequence
 from operator import index as _as_int
 
-from repro.errors import BatchVertexError, SerializationError, StaleLabelError
+from repro.errors import BatchVertexError, SerializationError
 from repro.graph.digraph import DiGraph
 from repro.labeling.hpspc import UNREACHED
 from repro.labeling.labelstore import (
@@ -62,10 +62,6 @@ __all__ = ["CSCIndex"]
 
 _INDEX_MAGIC = b"RPCI"
 _INDEX_VERSION = 1
-
-_STALE = ("labels have deferred-repair tombstones; query a clean "
-          "snapshot until the background repair completes")
-
 
 class CSCIndex:
     """The CSC shortest-cycle-counting index over a dynamic directed graph.
@@ -229,8 +225,6 @@ class CSCIndex:
         (iterate the smaller side, probe the larger at C dict speed); the
         ``Gb`` distance ``d`` maps to cycle length ``(d + 1) / 2``.
         """
-        if self.store_in._stale or self.store_out._stale:
-            raise StaleLabelError(_STALE)
         # Iterate the smaller side's distance-sorted view, probe the
         # larger side's {hub: dist} dict (counts fetched only on
         # improve/tie); stop once the sorted distance passes the best sum
@@ -279,8 +273,6 @@ class CSCIndex:
         it.  ``spcnt(x, x)`` is the empty path ``(count=1, dist=0)``;
         cycle queries stay :meth:`sccnt`.
         """
-        if self.store_in._stale or self.store_out._stale:
-            raise StaleLabelError(_STALE)
         if x == y:
             return PathCount(1, 0)
         my = self._qmaps_in[y]
@@ -313,14 +305,12 @@ class CSCIndex:
         """Batched :meth:`sccnt` — bit-identical to the scalar loop.
 
         Validates the whole batch before answering anything
-        (:class:`~repro.errors.StaleLabelError` on tombstoned stores,
-        ``operator.index`` coercion, one
+        (``operator.index`` coercion, one
         :class:`~repro.errors.BatchVertexError` naming every out-of-range
         ``(position, id)``), then answers each distinct id once through
         :meth:`sccnt`: SCCnt is a pure function of the id, and batched
         serving traffic repeats hot vertices.
         """
-        self._check_fresh()
         n = len(self.store_in)
         vs = [_as_int(v) for v in vertices]
         bad = [(i, v) for i, v in enumerate(vs) if not 0 <= v < n]
@@ -335,7 +325,6 @@ class CSCIndex:
     ) -> list[PathCount]:
         """Batched :meth:`spcnt` over ``(x, y)`` pairs — same contract
         as :meth:`sccnt_many`, deduplicated per pair."""
-        self._check_fresh()
         n = len(self.store_in)
         ps = [(_as_int(x), _as_int(y)) for x, y in pairs]
         bad = [
@@ -346,10 +335,6 @@ class CSCIndex:
         spcnt = self.spcnt
         memo = {p: spcnt(*p) for p in dict.fromkeys(ps)}
         return [memo[p] for p in ps]
-
-    def _check_fresh(self) -> None:
-        if self.store_in._stale or self.store_out._stale:
-            raise StaleLabelError(_STALE)
 
     def cycle_gb_distance(self, v: int) -> int:
         """Raw ``Gb`` distance of ``SPCnt(v_out, v_in)`` (``UNREACHED`` when

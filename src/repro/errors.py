@@ -128,17 +128,6 @@ class FrozenSnapshotError(IndexingError):
     """
 
 
-class StaleLabelError(IndexingError):
-    """A query hit a label store with deferred-repair tombstones.
-
-    Between a deferred edge deletion and the completion of its
-    background DECCNT repair the live fingerprints of the tombstoned
-    hubs are wrong, so direct queries are refused.  The serving engine
-    never surfaces this: its readers answer from the last clean
-    published snapshot until the repaired epoch is published.
-    """
-
-
 class ServiceStoppedError(ReproError):
     """An operation was submitted to a serving engine that is not running."""
 

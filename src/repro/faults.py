@@ -8,9 +8,10 @@ the seam into a **fault harness**: a :class:`FaultInjector` is a
 composable set of rules — errno-tagged transient or persistent
 ``OSError`` s, artificial delays, crash points — matched against event
 tags by ``fnmatch`` pattern, applied under an internal lock so the
-engine's writer thread and its deferred-repair thread can both hit the
-seam concurrently, and recorded into an event log the chaos suite (and
-the nightly CI job) can assert on and archive.
+engine's writer thread and a caller thread (``stop()``'s final WAL sync,
+a test reading the log) can use one injector concurrently, and recorded
+into an event log the chaos suite (and the nightly CI job) can assert on
+and archive.
 
 Typical use::
 

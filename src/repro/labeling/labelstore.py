@@ -121,7 +121,7 @@ class LabelStore:
     """One direction's label table (all vertices) in packed form."""
 
     __slots__ = ("packed", "canon", "big", "_maps", "_bydist", "_dists",
-                 "_frozen", "_epoch", "_owner", "_stale")
+                 "_frozen", "_epoch", "_owner")
 
     def __init__(self, n: int = 0) -> None:
         self.packed: list[array] = [array("Q") for _ in range(n)]
@@ -138,11 +138,6 @@ class LabelStore:
         self._frozen = False
         self._epoch = 0
         self._owner: list[int] | None = None
-        # Deferred-repair tombstones: hub positions whose fingerprints are
-        # known-stale (their edges were deleted but DECCNT repair has not
-        # run yet).  In-memory only — never serialized; a store rebuilt
-        # from bytes is by construction clean.
-        self._stale: frozenset[int] = frozenset()
 
     # ------------------------------------------------------------------
     # Construction / conversion
@@ -227,7 +222,6 @@ class LabelStore:
         if self._bydist is not None:
             snap._bydist = list(self._bydist)
         snap._frozen = True
-        snap._stale = self._stale
         if not self._frozen:
             # Invalidate all per-vertex ownership: everything is shared
             # with the new snapshot until the writer touches it again.
@@ -270,39 +264,6 @@ class LabelStore:
             )
         if self._owner is not None:
             self._owner[v] = self._epoch
-
-    # ------------------------------------------------------------------
-    # Deferred-repair tombstones
-    # ------------------------------------------------------------------
-    @property
-    def stale_hubs(self) -> frozenset[int]:
-        """Hub positions whose fingerprints are pending DECCNT repair.
-
-        Non-empty between a deferred edge deletion and the completion of
-        its background repair; queries against a store with tombstones
-        raise :class:`~repro.errors.StaleLabelError` (the serving
-        engine's overlay answers from the last clean snapshot instead).
-        """
-        return self._stale
-
-    def tombstone_hubs(self, positions: Iterable[int]) -> None:
-        """Mark hub positions as pending repair (idempotent union)."""
-        if self._frozen:
-            raise FrozenSnapshotError(
-                "label store snapshot is frozen; apply updates to the "
-                "live store it was taken from"
-            )
-        self._stale = self._stale | frozenset(positions)
-
-    def clear_tombstones(self) -> None:
-        """Declare all fingerprints repaired (or rebuilt) — queries may
-        resume against this store."""
-        if self._frozen:
-            raise FrozenSnapshotError(
-                "label store snapshot is frozen; apply updates to the "
-                "live store it was taken from"
-            )
-        self._stale = frozenset()
 
     # ------------------------------------------------------------------
     # Introspection

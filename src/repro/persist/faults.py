@@ -12,9 +12,8 @@ unbuffered, so a Python-level write *is* an OS-level write).
 Hook *installation* is thread-safe and scope-able: :func:`fault_scope`
 installs a hook for a dynamic extent and restores the previous one on
 exit, serializing with any concurrent install/clear under a module
-lock, so a test can inject into an engine whose writer and
-deferred-repair threads are both issuing durable I/O without racing
-the installation itself.  The hook remains process-global (there is one
+lock, so a test can inject into an engine whose writer thread is
+issuing durable I/O without racing the installation itself.  The hook remains process-global (there is one
 durability layer per process); a hook that will be *invoked* from
 several threads must be internally thread-safe — see
 :class:`repro.faults.FaultInjector` for the stock one.
@@ -81,8 +80,8 @@ def io_event(tag: str) -> None:
 
     The hook reference is read atomically (one attribute load) and
     invoked outside the installation lock, so concurrent announcers —
-    the engine's writer thread and a deferred-repair thread both
-    appending under their own serialization — never contend here.
+    the engine's writer thread and a caller thread running ``stop()``'s
+    final sync — never contend here.
     """
     hook = _hook
     if hook is not None:

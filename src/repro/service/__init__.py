@@ -60,7 +60,6 @@ from repro.types import CycleCount, PathCount
 
 from repro.service.config import (
     AdmissionConfig,
-    DeferConfig,
     DurabilityConfig,
     RetryConfig,
     ServeConfig,
@@ -75,13 +74,10 @@ from repro.service.driver import (
     serial_replay,
 )
 from repro.service.engine import ServeEngine, ServeStats
-from repro.service.overlay import DeferredOverlay
 from repro.service.snapshot import Snapshot
 
 __all__ = [
     "AdmissionConfig",
-    "DeferConfig",
-    "DeferredOverlay",
     "DriveResult",
     "DurabilityConfig",
     "QueryAPI",
@@ -103,13 +99,11 @@ __all__ = [
 class QueryAPI(Protocol):
     """The uniform read surface every query backend implements.
 
-    One protocol, four implementations with very different machinery
+    One protocol, three implementations with very different machinery
     behind the same answers:
 
     * :class:`Snapshot` — an immutable published epoch (the serving
       engine's read primitive);
-    * :class:`DeferredOverlay` — the last *clean* epoch plus deferred
-      repair staleness metadata;
     * :class:`~repro.core.counter.ShortestCycleCounter` — the live
       single-threaded counter (``epoch`` counts applied updates);
     * :class:`repro.cluster.ReplicaClient` — a replica process answering

@@ -1,12 +1,11 @@
 """Typed, frozen serving configuration (the ``ServeEngine`` surface).
 
 ``ServeEngine.__init__`` accreted 22 keyword arguments across PRs 3-7.
-This module splits that flat surface into four cohesive frozen
+This module splits that flat surface into three cohesive frozen
 dataclasses composed by :class:`ServeConfig`:
 
 * :class:`DurabilityConfig` — WAL/checkpoint placement and cadence
 * :class:`AdmissionConfig` — bounded-queue backpressure policy
-* :class:`DeferConfig` — deferred deletion repair
 * :class:`RetryConfig` — transient-fault retry and probe backoff
 
 Every field validates in ``__post_init__`` and raises
@@ -45,7 +44,6 @@ from repro.persist.manager import (
 __all__ = [
     "AdmissionConfig",
     "DEFAULT_SUBMIT_TIMEOUT",
-    "DeferConfig",
     "DurabilityConfig",
     "RetryConfig",
     "ServeConfig",
@@ -196,17 +194,6 @@ class AdmissionConfig:
 
 
 @dataclass(frozen=True)
-class DeferConfig:
-    """Deferred deletion repair (background DECCNT)."""
-
-    defer_deletions: bool = _cfg(
-        False,
-        "hand deletion batches to a background repair thread instead "
-        "of repairing them on the writer",
-    )
-
-
-@dataclass(frozen=True)
 class RetryConfig:
     """Transient-fault retry bounds and health-probe backoff."""
 
@@ -249,8 +236,8 @@ _SECTIONS: tuple[tuple[str, type], ...] = ()  # filled after ServeConfig
 class ServeConfig:
     """The full serving configuration, one immutable value object.
 
-    Runtime-only collaborators (``monitor``, ``on_publish``,
-    ``on_defer`` callbacks) are *not* configuration: they stay explicit
+    Runtime-only collaborators (the ``monitor`` and the ``on_publish``
+    callback) are *not* configuration: they stay explicit
     ``ServeEngine`` parameters, which is what keeps this object
     JSON-serializable end to end.
     """
@@ -287,7 +274,6 @@ class ServeConfig:
     )
     durability: DurabilityConfig = field(default_factory=DurabilityConfig)
     admission: AdmissionConfig = field(default_factory=AdmissionConfig)
-    defer: DeferConfig = field(default_factory=DeferConfig)
     retry: RetryConfig = field(default_factory=RetryConfig)
 
     def __post_init__(self) -> None:
@@ -424,7 +410,6 @@ class ServeConfig:
 _SECTIONS = (
     ("durability", DurabilityConfig),
     ("admission", AdmissionConfig),
-    ("defer", DeferConfig),
     ("retry", RetryConfig),
 )
 

@@ -7,17 +7,9 @@ the repaired labels.  Reader threads never touch the live index — they
 grab the latest published snapshot (one atomic attribute read) and
 answer ``sccnt`` / ``spcnt`` / ``top_suspicious`` against it, so a long
 deletion repair pass no longer blocks queries; readers just keep serving
-the previous epoch until the next one lands.
-
-With ``defer_deletions=True`` the *writer* stops blocking on deletions
-too: a deletion batch's DECCNT repair (or rebuild fallback) is handed to
-a background repair thread — the affected hubs are tombstoned in the
-live stores for the duration (see :class:`~repro.labeling.LabelStore`
-tombstones and :class:`~repro.service.DeferredOverlay`) — while the
-writer keeps draining the queue, buffering follow-up batches for the
-repair thread to apply in submission order.  Epoch sequence, labels,
-and WAL contents are identical to eager mode; only *who* runs the
-repair and *when* changes.
+the previous epoch until the next one lands.  The writer applies every
+batch inline, in submission order: DECCNT's repair pass (or the rebuild
+fallback) is one serial pass, as in the paper.
 
 Self-healing (fault taxonomy)
 -----------------------------
@@ -49,8 +41,8 @@ as fatal:
   still durably logged and acked; the WAL just grows) with an idle-time
   probe that retries the checkpoint.
 * **unclassifiable** — anything else stays a sticky failure, exactly as
-  before; a mutator-role thread *dying* (writer or repair) moves the
-  engine to ``failed``, where reads raise too.
+  before; the writer thread *dying* moves the engine to ``failed``,
+  where reads raise too.
 
 See :mod:`repro.service.health` for the state machine and
 :class:`ServeStats` / :meth:`ServeEngine.durability_stats` for how the
@@ -95,7 +87,6 @@ from repro.service.health import (
     HEALTHY,
     READ_ONLY,
 )
-from repro.service.overlay import DeferredOverlay
 from repro.service.snapshot import Snapshot
 
 __all__ = ["ServeEngine", "ServeStats"]
@@ -132,11 +123,6 @@ class ServeStats:
     queue_depth: int = 0
     #: whether the writer thread is alive
     running: bool = False
-    #: batches handed to (or buffered behind) the background repair
-    #: thread instead of being applied inline by the writer
-    deferrals: int = 0
-    #: whether a background deferred repair is in flight right now
-    repairing: bool = False
     #: poison batches quarantined to the dead-letter log
     quarantined: int = 0
     #: ops dropped at admission under the ``"shed"`` policy
@@ -179,11 +165,6 @@ class ServeEngine:
     on_publish:
         Optional callback invoked with each new :class:`Snapshot`
         *before* it becomes visible to :meth:`snapshot` (writer thread).
-    on_defer:
-        Test/instrumentation seam: called on the repair thread for each
-        deferred batch, right after the affected hubs are tombstoned
-        and before any label mutation.  Must not touch the engine's
-        public API (it runs inside the mutation window).
 
     With ``config.durability.data_dir`` set, a directory holding
     recoverable state wins over ``source``: the engine resumes at the
@@ -194,8 +175,10 @@ class ServeEngine:
 
     A callback or batch failure is recorded (see :attr:`failure`) and
     re-raised by :meth:`flush` / :meth:`stop`; the engine keeps serving
-    the last good epoch meanwhile — ``apply_batch`` is atomic-on-raise,
-    so the live index stays consistent.  The record is sticky: after the
+    the last good epoch meanwhile.  ``apply_batch`` raises an invalid
+    batch before any mutation (its plan step), but a failure after that
+    may leave the graph changed while repair or rebuild never ran, so a
+    failed batch is never retried.  The record is sticky: after the
     first raise it is kept (not cleared), and any later observation of
     an unhealthy engine — a dead writer, an undrained queue — raises a
     :class:`~repro.errors.ServiceFailedError` chaining it instead of
@@ -209,7 +192,6 @@ class ServeEngine:
         *,
         monitor=None,
         on_publish: Callable[[Snapshot], None] | None = None,
-        on_defer: Callable[[], None] | None = None,
         **options,
     ) -> None:
         if options:
@@ -305,8 +287,6 @@ class ServeEngine:
         self._on_invalid = config.on_invalid
         self._monitor = monitor
         self._on_publish = on_publish
-        self._defer = config.defer.defer_deletions
-        self._on_defer = on_defer
         self._max_queue_depth = config.admission.max_queue_depth
         self._backpressure = config.admission.backpressure
         self._submit_timeout = config.admission.submit_timeout
@@ -315,20 +295,12 @@ class ServeEngine:
         self._io_backoff_s = config.retry.io_backoff_s
         self._probe_backoff_s = config.retry.probe_backoff_s
         self._probe_max_backoff_s = config.retry.probe_max_backoff_s
-        # Deferred-repair hand-off: _repair_thread/_pending are guarded
-        # by _defer_lock; the durability manager is single-threaded by
-        # contract, so in deferred mode the writer's log_batch and the
-        # repair thread's log_abort/note_applied serialize on _dur_lock.
-        # Canonical acquisition order (REP001, enforced statically by
+        # Every durability-manager call holds _dur_lock.  Canonical
+        # acquisition order (REP001, enforced statically by
         # `repro analyze` and at runtime under REPRO_LOCKDEP=1):
-        # _defer_lock -> _dur_lock -> _lock/_progress, ascending rank.
-        self._defer_lock = lockdep.make_lock(
-            "ServeEngine._defer_lock", rank=10)
+        # _dur_lock -> _lock/_progress, ascending rank.
         self._dur_lock = lockdep.make_lock(
             "ServeEngine._dur_lock", rank=20)
-        self._pending: list[tuple[list[Op], int | None]] = []
-        self._repair_thread: threading.Thread | None = None
-        self._deferrals = 0
 
         self._queue: queue.SimpleQueue[object] = queue.SimpleQueue()
         self._lock = lockdep.make_lock("ServeEngine._lock", rank=30)
@@ -357,7 +329,7 @@ class ServeEngine:
         #: the read-only transition's failure record, kept separately so
         #: a successful heal can retire it without erasing real news
         self._ro_failure: BaseException | None = None
-        #: the exception that killed a mutator thread (FAILED state)
+        #: the exception that killed the writer thread (FAILED state)
         self._writer_fatal: BaseException | None = None
         self._writer_exited = False
         self._writer: threading.Thread | None = None
@@ -581,7 +553,7 @@ class ServeEngine:
         safe from any thread, never blocks on the writer).
 
         Reads stay available in every health state except ``failed``,
-        where the engine's mutator died and the sticky failure is
+        where the engine's writer died and the sticky failure is
         raised instead.
         """
         if self._health == FAILED:
@@ -606,32 +578,12 @@ class ServeEngine:
         (:meth:`Snapshot.spcnt_many`).  Safe from any thread."""
         return self.snapshot().spcnt_many(pairs)
 
-    def overlay(self) -> DeferredOverlay:
-        """The latest clean snapshot wrapped with deferred-repair
-        staleness metadata (see :class:`DeferredOverlay`).
-
-        Useful mainly with ``defer_deletions=True``: queries delegate to
-        the same snapshot :meth:`snapshot` returns, and
-        :attr:`DeferredOverlay.stale` reports whether a repair window is
-        open behind it.  Safe from any thread; never blocks.  Raises
-        :class:`~repro.errors.ServiceFailedError` in the ``failed``
-        state (e.g. the repair thread died with tombstones pending —
-        the overlay's staleness metadata could never converge).
-        """
-        snap = self.snapshot()
-        index = self._counter.index
-        stale_in = index.store_in.stale_hubs
-        stale_out = index.store_out.stale_hubs
-        with self._lock:
-            pending = self._submitted - self._consumed
-        return DeferredOverlay(snap, stale_in, stale_out, pending)
-
     def flush(self, timeout: float | None = None) -> Snapshot:
         """Block until every op submitted so far has been consumed and
         its epoch published; returns the then-current snapshot.
 
         Raises the writer's recorded failure, if any; a
-        :class:`ServiceFailedError` when the engine's mutator thread is
+        :class:`ServiceFailedError` when the engine's writer thread is
         dead with submitted ops unconsumed (fail fast — nothing will
         ever drain them); an
         :class:`~repro.errors.EngineReadOnlyError` when the engine is
@@ -760,8 +712,6 @@ class ServeEngine:
                 running=(
                     self._writer is not None and self._writer.is_alive()
                 ),
-                deferrals=self._deferrals,
-                repairing=self._repair_thread is not None,
                 quarantined=len(self._quarantined),
                 ops_shed=self._shed,
                 ops_rejected=self._rejected,
@@ -806,18 +756,6 @@ class ServeEngine:
             self._ro_failure = None
             self._progress.notify_all()
 
-    def _fail_engine(self, exc: BaseException) -> None:
-        """A mutator-role thread died: terminal state, reads raise.
-
-        Like a writer-loop fatal, the exception goes into
-        ``_writer_fatal`` rather than the sticky slot: callers get a
-        typed :class:`ServiceFailedError` chaining it, never the raw
-        thread-killing exception re-raised on their own stack."""
-        with self._progress:
-            self._health = FAILED
-            self._writer_fatal = exc
-            self._progress.notify_all()
-
     # ------------------------------------------------------------------
     # Writer thread
     # ------------------------------------------------------------------
@@ -836,14 +774,6 @@ class ServeEngine:
                 self._progress.notify_all()
             raise
         finally:
-            # A live background repair still owns buffered batches; the
-            # writer's exit must not strand them (stop() joins only the
-            # writer).  Joining here keeps the clean-stop invariant:
-            # writer dead => everything accepted has been consumed.
-            with self._defer_lock:
-                repair = self._repair_thread
-            if repair is not None:
-                repair.join()
             # Wake any flush() waiting on consumption: once this thread
             # exits (cleanly or not), nothing else will ever notify, and
             # flush must get the chance to fail fast instead of hanging.
@@ -856,12 +786,6 @@ class ServeEngine:
             item = self._next_item()
             if item is _STOP:
                 break
-            if self._health == FAILED:
-                # The repair thread died: later batches must not be
-                # applied over the stranded (logged but unapplied)
-                # prefix.  Leave the queue undrained; stop()/flush()
-                # report the loss.
-                break
             ops = [item]
             stop_after = False
             while len(ops) < self._batch_size:
@@ -873,10 +797,7 @@ class ServeEngine:
                     stop_after = True
                     break
                 ops.append(nxt)
-            if self._defer:
-                self._dispatch_deferred(ops)
-            else:
-                self._apply_and_publish(ops)
+            self._apply_and_publish(ops)
             if stop_after:
                 break
 
@@ -893,18 +814,13 @@ class ServeEngine:
 
     def _probe_checkpoint(self) -> None:
         """Retry the failing checkpoint (writer thread, between
-        batches, no repair in flight — the only window in which the
-        live graph equals the published snapshot's capture state)."""
+        batches — the only window in which the live graph equals the
+        published snapshot's capture state)."""
         dur = self._durability
         snap = self._published
         if dur is None or snap is None:  # pragma: no cover - defensive
             self._set_health(HEALTHY)
             return
-        with self._defer_lock:
-            if self._repair_thread is not None:
-                # The repair thread owns the mutator window; its own
-                # note_applied will heal the state on success.
-                return
         try:
             with self._dur_lock:
                 dur.checkpoint_now(snap)
@@ -1026,67 +942,6 @@ class ServeEngine:
         if ok:
             self._apply_logged(ops, seq)
 
-    def _dispatch_deferred(self, ops: list[Op]) -> None:
-        """Deferred-mode routing (writer thread).
-
-        The batch is logged first either way (WAL order == submission
-        order, as in eager mode).  Then: while a background repair owns
-        the mutator role, every batch is buffered for it; otherwise a
-        batch with deletions spawns the repair thread and the writer
-        moves on immediately, and a pure-insert batch is applied inline
-        (INCCNT is cheap — deferring it would only delay the epoch).
-        """
-        seq, ok = self._log_batch(ops)
-        if not ok:
-            return
-        with self._defer_lock:
-            if self._repair_thread is not None:
-                self._deferrals += 1
-                self._pending.append((ops, seq))
-                return
-            if any(op == "delete" for op, _, _ in ops):
-                self._deferrals += 1
-                thread = threading.Thread(
-                    target=self._repair_entry,
-                    args=(ops, seq),
-                    name="repro-serve-repair",
-                    daemon=True,
-                )
-                self._repair_thread = thread
-                thread.start()
-                return
-        self._apply_logged(ops, seq)
-
-    def _repair_entry(self, ops: list[Op], seq: int | None) -> None:
-        """Supervisor wrapper for the repair thread: per-batch failures
-        are absorbed inside :meth:`_repair_worker`, but the *thread*
-        dying (an escaping BaseException) is terminal — the buffered
-        batches it owned can never be applied in order, so the engine
-        moves to ``failed`` and flush()/stop() fail fast."""
-        try:
-            self._repair_worker(ops, seq)
-        except BaseException as exc:  # noqa: BLE001 - thread supervisor
-            with self._defer_lock:
-                self._pending.clear()
-                self._repair_thread = None
-            self._fail_engine(exc)
-            raise
-
-    def _repair_worker(self, ops: list[Op], seq: int | None) -> None:
-        """Background repair thread: applies its seed batch and then
-        drains whatever the writer buffered meanwhile, in order, before
-        handing the mutator role back (clearing ``_repair_thread``)."""
-        while True:
-            try:
-                self._apply_logged(ops, seq, defer=True)
-            except Exception as exc:  # noqa: BLE001 - backstop
-                self._record_failure(exc, ops)
-            with self._defer_lock:
-                if not self._pending:
-                    self._repair_thread = None
-                    return
-                ops, seq = self._pending.pop(0)
-
     # ------------------------------------------------------------------
     # Batch application (fault-classified)
     # ------------------------------------------------------------------
@@ -1097,10 +952,12 @@ class ServeEngine:
         skips it, then record the failure (the batch is consumed)."""
         dur = self._durability
         if dur is not None and seq is not None:
-            # apply_batch is atomic-on-raise, so the live state
-            # excludes this batch; mark the logged record aborted so
-            # recovery skips it too.  (Losing the marker is safe:
-            # the same deterministic exception fires on replay.)
+            # The batch never published; mark the logged record
+            # aborted so recovery skips it too.  apply_batch raises a
+            # plan error before any mutation, but a later failure may
+            # leave the live graph changed with repair or rebuild not
+            # run.  (Losing the marker is safe for the deterministic
+            # errors: the same exception fires on replay.)
             try:
                 with self._dur_lock:
                     dur.log_abort(seq)
@@ -1143,40 +1000,14 @@ class ServeEngine:
             self._consumed += len(ops)
             self._progress.notify_all()
 
-    def _apply_logged(
-        self, ops: list[Op], seq: int | None, defer: bool = False
-    ) -> None:
+    def _apply_logged(self, ops: list[Op], seq: int | None) -> None:
         dur = self._durability
-        on_plan = None
-        if defer:
-            # Tombstone exactly the hubs whose fingerprints the repair
-            # is about to invalidate, for exactly the mutation window:
-            # set when the repair plan is known (before any label or
-            # graph mutation), cleared when apply_batch returns (the
-            # labels are clean again — repaired, or swapped by the
-            # rebuild fallback).  Tombstones are in-memory only, so the
-            # WAL/recovery path never sees them.
-            index = self._counter.index
-            store_in, store_out = index.store_in, index.store_out
-
-            def on_plan(del_in: set[int], del_out: set[int]) -> None:
-                store_in.tombstone_hubs(del_in)
-                store_out.tombstone_hubs(del_out)
-                if self._on_defer is not None:
-                    self._on_defer()
-
         try:
-            try:
-                stats = self._counter.apply_batch(
-                    ops,
-                    rebuild_threshold=self._rebuild_threshold,
-                    on_invalid=self._on_invalid,
-                    on_repair_plan=on_plan,
-                )
-            finally:
-                if defer:
-                    store_in.clear_tombstones()
-                    store_out.clear_tombstones()
+            stats = self._counter.apply_batch(
+                ops,
+                rebuild_threshold=self._rebuild_threshold,
+                on_invalid=self._on_invalid,
+            )
         except ReproError as exc:
             # Deterministic by construction: apply_batch raising a
             # library error is a property of the batch against this
@@ -1223,10 +1054,7 @@ class ServeEngine:
         if dur is not None:
             # Checkpoint *after* publication, from the published frozen
             # snapshot, between batches — the only window in which the
-            # live graph still equals the snapshot's capture state.  In
-            # deferred mode the applying thread *is* the sole mutator
-            # here (the writer only logs and buffers while a repair is
-            # alive), so the window argument holds unchanged.
+            # live graph still equals the snapshot's capture state.
             try:
                 with self._dur_lock:
                     checkpointed = dur.note_applied(seq, snap)

@@ -21,8 +21,7 @@ through every fault the taxonomy knows how to survive:
     backoff retries the append; success re-admits writes.
 
 ``FAILED``
-    A mutator-role thread (the writer or the deferred-repair worker)
-    died with an unclassifiable error.  Reads raise the sticky failure;
+    The writer thread died with an unclassifiable error.  Reads raise the sticky failure;
     the process should be restarted and recovered from disk.
 
 Ordering is by severity; ``severity()`` gives the comparable rank.

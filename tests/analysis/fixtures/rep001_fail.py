@@ -6,15 +6,15 @@ import threading
 class BadEngine:
     def __init__(self):
         self._lock = threading.Lock()
-        self._defer_lock = threading.Lock()
+        self._dur_lock = threading.Lock()
         self._a_lock = threading.Lock()
         self._b_lock = threading.Lock()
 
     def inverted(self):
         # _lock is innermost in the canonical order; nesting the
-        # defer lock inside it is the inversion REP001 must flag.
+        # durability lock inside it is the inversion REP001 must flag.
         with self._lock:
-            with self._defer_lock:
+            with self._dur_lock:
                 return 1
 
     def ab(self):

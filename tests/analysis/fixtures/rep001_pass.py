@@ -6,15 +6,13 @@ import threading
 
 class GoodEngine:
     def __init__(self):
-        self._defer_lock = threading.Lock()
         self._dur_lock = threading.Lock()
         self._lock = threading.Lock()
 
     def canonical(self):
-        with self._defer_lock:
-            with self._dur_lock:
-                with self._lock:
-                    return 1
+        with self._dur_lock:
+            with self._lock:
+                return 1
 
     def _leaf(self):
         with self._lock:

@@ -5,5 +5,5 @@ def peek(store, v):
     return len(store.packed[v])
 
 
-def is_stale(store):
-    return bool(store._stale)
+def is_frozen(store):
+    return bool(store._frozen)

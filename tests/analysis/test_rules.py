@@ -71,7 +71,7 @@ class TestLockOrderDetails:
         src = (
             "class E:\n"
             "    def helper(self):\n"
-            "        with self._defer_lock:\n"
+            "        with self._dur_lock:\n"
             "            return 1\n"
             "    def caller(self):\n"
             "        with self._lock:\n"

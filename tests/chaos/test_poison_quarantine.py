@@ -191,12 +191,12 @@ class TestDurableQuarantine:
 
     def test_failed_engine_write_rejection_names_cause(self):
         # Quarantine never fires for unclassifiable errors: those stay
-        # sticky, and a dead mutator rejects writes with the cause.
+        # sticky, and a dead writer rejects writes with the cause.
         graph = make_graph(seed=9)
         engine = ServeEngine(graph, batch_size=1)
         engine.start()
 
-        def die(ops, seq, defer=False):
+        def die(ops, seq):
             raise SystemExit("boom")
 
         engine._apply_logged = die

@@ -15,7 +15,7 @@ import pytest
 
 from repro.core.csc import CSCIndex
 from repro.core.maintenance import delete_edge, insert_edge
-from repro.errors import BatchVertexError, StaleLabelError, VertexError
+from repro.errors import BatchVertexError, VertexError
 from repro.graph.digraph import DiGraph
 from repro.labeling.labelstore import COUNT_SATURATED, LabelStore
 from repro.labeling.ordering import positions
@@ -131,18 +131,6 @@ class TestValidation:
         with pytest.raises(BatchVertexError) as exc:
             fig2_index.sccnt_many([Id(1), Id(99)])
         assert exc.value.bad == [(1, 99)]
-
-
-class TestStaleness:
-    def test_tombstoned_store_refuses_bulk(self, fig2_index):
-        index = CSCIndex.build(figure2_graph())
-        index.store_in.tombstone_hubs([0])
-        with pytest.raises(StaleLabelError):
-            index.sccnt_many([0, 1])
-        with pytest.raises(StaleLabelError):
-            index.spcnt_many([(0, 1)])
-        index.store_in.clear_tombstones()
-        assert index.sccnt_many([6]) == [fig2_index.sccnt(6)]
 
 
 def _saturated_index(count: int) -> CSCIndex:

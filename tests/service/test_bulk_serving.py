@@ -1,18 +1,13 @@
 """Bulk queries through the serving stack.
 
 ``Snapshot.count_many`` / ``spcnt_many``, the ``ServeEngine``
-pass-throughs, ``drive_mixed(bulk_batch=...)``, and — the part that
-must not regress — ``DeferredOverlay`` answering bulk queries from the
-last *clean* snapshot while a deferred deletion repair holds tombstones
-on the live stores.
+pass-throughs and ``drive_mixed(bulk_batch=...)``.
 """
-
-import threading
 
 import pytest
 
 from repro.core.counter import ShortestCycleCounter
-from repro.errors import BatchVertexError, StaleLabelError, VertexError
+from repro.errors import BatchVertexError, VertexError
 from repro.service import ServeEngine
 from repro.service.driver import drive_mixed, serial_replay
 from tests.conftest import random_digraph
@@ -88,64 +83,3 @@ class TestEngineBulk:
         g = random_digraph(6, 10, seed=1)
         with pytest.raises(ValueError):
             drive_mixed(g, [], bulk_batch=0)
-
-
-class TestDeferredOverlayBulk:
-    def test_bulk_answers_from_clean_snapshot_under_held_repair(self):
-        """While a deferred repair is artificially held open the live
-        stores carry tombstones: direct bulk queries refuse with
-        StaleLabelError, the overlay's bulk queries answer from the
-        clean epoch, and after release everything converges to the
-        serial replay."""
-        g = random_digraph(24, 96, seed=13)
-        edges = sorted(g.edges())
-        ops = [("delete", *e) for e in edges[:4]]
-
-        gate = threading.Event()
-        entered = threading.Event()
-
-        def hold():
-            entered.set()
-            gate.wait(30)
-
-        engine = ServeEngine(
-            ShortestCycleCounter.build(g),
-            batch_size=16,
-            defer_deletions=True,
-            rebuild_threshold=2.0,
-            on_defer=hold,
-        )
-        try:
-            with engine:
-                clean = engine.snapshot()
-                want_clean = [clean.count(v) for v in range(clean.n)]
-                want_clean_sp = [clean.spcnt(0, v) for v in range(clean.n)]
-                engine.submit_many(ops)
-                assert entered.wait(30)
-                # Live stores are tombstoned: the bulk path refuses
-                # exactly like the scalar path.
-                assert engine.counter.index.store_in.stale_hubs or \
-                    engine.counter.index.store_out.stale_hubs
-                with pytest.raises(StaleLabelError):
-                    engine.counter.index.sccnt_many([0, 1])
-                with pytest.raises(StaleLabelError):
-                    engine.counter.index.spcnt_many([(0, 1)])
-                # The overlay still answers — in bulk — from the clean
-                # epoch, bit-identical to its own scalar loop.
-                ov = engine.overlay()
-                assert ov.stale
-                assert ov.epoch == clean.epoch
-                vs = list(range(clean.n))
-                assert ov.count_many(vs) == want_clean
-                assert ov.spcnt_many(
-                    [(0, v) for v in vs]
-                ) == want_clean_sp
-                gate.set()
-                engine.flush(timeout=120)
-                ov2 = engine.overlay()
-                want = serial_replay(g, ops)
-                assert ov2.count_many(vs) == [
-                    want.count(v) for v in vs
-                ]
-        finally:
-            gate.set()

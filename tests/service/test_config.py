@@ -62,6 +62,8 @@ class TestFieldValidation:
             ),
             # the retired worker-count knob is unknown, not ignored
             lambda: ServeConfig.from_kwargs(workers=2),
+            # so is the retired deferred-repair switch
+            lambda: ServeConfig.from_kwargs(defer_deletions=True),
             lambda: RetryConfig(io_retries=-1),
             lambda: RetryConfig(io_backoff_s=-0.1),
         ],
@@ -122,7 +124,6 @@ class TestRoundTrips:
         max_queue_depth=32,
         backpressure="shed",
         submit_timeout=2.5,
-        defer_deletions=True,
         io_retries=1,
         io_backoff_s=0.5,
         probe_backoff_s=0.25,
@@ -161,6 +162,9 @@ class TestRoundTrips:
             ServeConfig.from_dict({"batch_size": 4, "extra": 1})
         with pytest.raises(ConfigurationError, match="retry"):
             ServeConfig.from_dict({"retry": {"io_retriez": 2}})
+        # the retired deferred-repair section is unknown, not ignored
+        with pytest.raises(ConfigurationError, match="defer"):
+            ServeConfig.from_dict({"defer": {"defer_deletions": True}})
         with pytest.raises(ConfigurationError):
             ServeConfig.from_dict(["not", "a", "dict"])
 
@@ -224,13 +228,12 @@ class TestGeneratedCli:
     def test_flags_overlay_defaults(self):
         args = self.parser().parse_args(
             ["--batch-size", "8", "--backpressure", "shed",
-             "--max-queue-depth", "16", "--defer-deletions"]
+             "--max-queue-depth", "16"]
         )
         cfg = config_from_args(args)
         assert cfg.batch_size == 8
         assert cfg.admission.backpressure == "shed"
         assert cfg.admission.max_queue_depth == 16
-        assert cfg.defer.defer_deletions is True
         # Untouched fields keep their defaults.
         assert cfg.retry.io_retries == 4
 
@@ -270,3 +273,12 @@ class TestGeneratedCli:
         bad.write_text("{not json")
         with pytest.raises(ConfigurationError, match="not valid JSON"):
             load_config_file(bad)
+        retired = tmp_path / "defer.json"
+        retired.write_text(json.dumps({"defer": {"defer_deletions": True}}))
+        with pytest.raises(ConfigurationError, match="unknown config key"):
+            load_config_file(retired)
+
+    def test_retired_defer_flag_is_unknown(self, capsys):
+        with pytest.raises(SystemExit):
+            self.parser().parse_args(["--defer-deletions"])
+        assert "unrecognized arguments" in capsys.readouterr().err

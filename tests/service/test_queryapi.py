@@ -1,7 +1,7 @@
-"""QueryAPI conformance: four backends, one read surface, one answer.
+"""QueryAPI conformance: three backends, one read surface, one answer.
 
-Every implementation — the live counter, a published snapshot, the
-deferred overlay, and a replica process across a pipe — must satisfy
+Every implementation — the live counter, a published snapshot, and a
+replica process across a pipe — must satisfy
 the structural protocol *and* agree answer-for-answer on the same
 state, including error behavior for out-of-range vertices.  This is
 the contract that lets ``drive_mixed``, the monitor, and the
@@ -16,7 +16,6 @@ from repro.core.counter import ShortestCycleCounter
 from repro.errors import VertexError
 from repro.graph.digraph import DiGraph
 from repro.service import (
-    DeferredOverlay,
     DurabilityConfig,
     QueryAPI,
     ServeConfig,
@@ -68,7 +67,6 @@ def backends(cluster):
     return [
         ("counter", counter),
         ("snapshot", snapshot),
-        ("overlay", DeferredOverlay(snapshot)),
         ("replica", cluster.router.live()[0]),
     ]
 
