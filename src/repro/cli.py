@@ -431,7 +431,7 @@ def _cmd_serve(args) -> int:
     graph = read_edge_list(args.edgelist)
     # One flag per ServeConfig field (see add_config_arguments); serve
     # keeps its historical batch_size=16 default via the base config.
-    config = _resolve_config(args, base=ServeConfig.from_kwargs(batch_size=16))
+    config = _resolve_config(args, base=ServeConfig(batch_size=16))
     data_dir = config.durability.data_dir
     # Build the engine first: with --data-dir pointing at existing
     # state the engine *resumes* that state (the edge list is only the
@@ -537,7 +537,7 @@ def _cmd_cluster(args) -> int:
 
 def _cluster_serve(args) -> int:
     from repro.cluster import Cluster
-    from repro.service import ServeConfig, drive_mixed
+    from repro.service import DurabilityConfig, ServeConfig, drive_mixed
     from repro.workloads.updates import mixed_update_stream
 
     graph = read_edge_list(args.edgelist)
@@ -546,7 +546,10 @@ def _cluster_serve(args) -> int:
     # prune resyncs — discarding the digest ledger the closing
     # verification needs.  --checkpoint-on-stop opts back in.
     config = _resolve_config(
-        args, base=ServeConfig.from_kwargs(checkpoint_on_stop=False)
+        args,
+        base=ServeConfig(
+            durability=DurabilityConfig(checkpoint_on_stop=False)
+        ),
     )
     cluster = Cluster(graph, config, replicas=args.replicas)
     try:

@@ -27,19 +27,37 @@ Failure semantics mirror recovery:
   :class:`~repro.errors.WalTailGapError` after a prune outran the
   tailer, or a :class:`~repro.errors.WalRolledBackError`).
 
-The process is single-threaded: one loop alternates between answering
-queries from its published snapshot (queries are prioritized) and
-draining the tailer.  Queries are answered from a frozen
-:class:`~repro.service.Snapshot`, so a long repair in ``apply_batch``
-never blocks correctness — only freshness (that is the replica's lag).
+The process runs two threads, so no read waits behind a write:
+
+* the **apply thread** is the only code that polls the tailer (every
+  ``_IDLE_POLL`` when idle), mutates the counter, takes snapshots or
+  re-bootstraps.  After each record it publishes one immutable
+  :class:`_Published` — the snapshot with its ``ops_applied`` and
+  ``last_seq`` — by a single assignment, so an epoch is never reported
+  before its snapshot (and digest) exist.  A re-bootstrap first
+  withdraws the published view, so the diverged snapshot stops being
+  served before recovery starts, and publishes again only once the new
+  state is complete;
+* the **query thread** blocks on the pipe and answers each request
+  from the published view, taking no lock: a
+  :class:`~repro.service.Snapshot` never reads the live counter, so a
+  long rebuild in ``apply_batch`` costs freshness, not latency.  While
+  no view is published (a re-bootstrap) queries wait for the next one.
+  The state RPCs ``state_bytes`` and ``digests`` read live apply-thread
+  state, so they and each record's apply hold one lock.  The query
+  thread also notices a dead apply thread within ``_LIVENESS_POLL`` and
+  ends ``replica_main`` with its exception; ``stop`` joins the apply
+  thread before it replies.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import threading
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 from repro.errors import (
     PersistenceError,
@@ -51,17 +69,33 @@ from repro.errors import (
 from repro.persist.recovery import WAL_DIR, recover
 from repro.persist.tail import WalTailer
 from repro.persist.wal import ABORT, BATCH
+from repro.service.snapshot import Snapshot
 
 __all__ = ["replica_main"]
 
-#: seconds the idle loop sleeps on the query pipe between tail polls
+#: seconds the idle apply thread sleeps between tail polls
 _IDLE_POLL = 0.002
+#: seconds the query thread blocks on the pipe before it checks that
+#: the apply thread is still alive
+_LIVENESS_POLL = 0.05
+#: the read-only Snapshot methods served by name
+_QUERIES = frozenset(
+    {"sccnt", "sccnt_many", "spcnt", "spcnt_many", "top_suspicious"}
+)
 #: bootstrap attempts (recovery can race a concurrent checkpoint/prune)
 _BOOTSTRAP_TRIES = 5
 
 
 def _digest(counter) -> str:
     return hashlib.sha256(counter.to_bytes()).hexdigest()
+
+
+class _Published(NamedTuple):
+    """What the query thread serves; replaced whole, never mutated."""
+
+    snapshot: Snapshot
+    ops_applied: int
+    last_seq: int
 
 
 class _ReplicaState:
@@ -99,6 +133,9 @@ class _ReplicaState:
         if record_digests:
             self.digests[self.epoch] = _digest(self.counter)
 
+    def published(self, last_seq: int) -> _Published:
+        return _Published(self.snapshot, self.ops_applied, last_seq)
+
 
 def replica_main(
     conn,
@@ -114,34 +151,28 @@ def replica_main(
     """
     data_dir = Path(data_dir)
     state = _ReplicaState(data_dir, strategy, record_digests)
+    #: the query thread's only view of the apply thread's progress;
+    #: ``None`` while a re-bootstrap builds the next state
+    view: _Published | None = state.published(state.tailer.last_seq)
+    state_lock = threading.Lock()
+    stopping = threading.Event()
+    failure: list[BaseException] = []
     resyncs = 0
     records_applied = 0
     records_skipped = 0
 
+    # -- apply thread ----------------------------------------------------
     def rebootstrap() -> None:
-        nonlocal state, resyncs
-        state = _ReplicaState(data_dir, strategy, record_digests)
+        nonlocal state, view, resyncs
+        view = None
+        with state_lock:
+            state = _ReplicaState(data_dir, strategy, record_digests)
         resyncs += 1
+        view = state.published(state.tailer.last_seq)
 
-    def drain_tail() -> None:
+    def apply(record) -> None:
         nonlocal records_applied, records_skipped
-        try:
-            records = state.tailer.poll()
-        except (WalTailGapError, WalRolledBackError):
-            rebootstrap()
-            return
-        for record in records:
-            if record.kind == ABORT:
-                if record.seq in state.applied_seqs:
-                    # We applied a batch the primary rolled back: the
-                    # primary's failure was nondeterministic and every
-                    # state since is not the primary's.  Start over from
-                    # its durable truth.
-                    rebootstrap()
-                    return
-                continue  # abort of a record we also skipped
-            if record.kind != BATCH:  # pragma: no cover - future kinds
-                continue
+        with state_lock:
             state.ops_applied += len(record.ops)
             try:
                 state.counter.apply_batch(
@@ -151,7 +182,7 @@ def replica_main(
                 )
             except ReproError:
                 records_skipped += 1
-                continue  # deterministic failure: primary skipped too
+                return  # deterministic failure: primary skipped too
             state.applied_seqs.add(record.seq)
             state.epoch += 1
             records_applied += 1
@@ -161,70 +192,107 @@ def replica_main(
             if record_digests:
                 state.digests[state.epoch] = _digest(state.counter)
 
-    def status() -> dict:
+    def drain_tail() -> bool:
+        """Apply what the tailer has; ``False`` when it had nothing."""
+        nonlocal view
+        try:
+            records = state.tailer.poll()
+        except (WalTailGapError, WalRolledBackError):
+            rebootstrap()
+            return True
+        for record in records:
+            if stopping.is_set():
+                break
+            if record.kind == ABORT and record.seq in state.applied_seqs:
+                # We applied a batch the primary rolled back: the
+                # primary's failure was nondeterministic and every
+                # state since is not the primary's.  Start over from
+                # its durable truth.
+                rebootstrap()
+                break
+            if record.kind == BATCH:
+                apply(record)
+            # An ABORT of a record we also skipped (or a future kind)
+            # only advances the cursor.
+            view = state.published(record.seq)
+        return bool(records)
+
+    def apply_loop() -> None:
+        try:
+            while not stopping.is_set():
+                if not drain_tail():
+                    stopping.wait(_IDLE_POLL)
+        except BaseException as exc:  # noqa: BLE001 - re-raised by queries
+            failure.append(exc)
+
+    applier = threading.Thread(
+        target=apply_loop, name="repro-replica-apply", daemon=True
+    )
+
+    # -- query thread ----------------------------------------------------
+    def halt() -> None:
+        stopping.set()
+        applier.join()
+
+    def current() -> _Published:
+        """The published view; waits out a re-bootstrap, and raises the
+        apply thread's exception once it has died."""
+        published = view
+        while published is None:
+            if failure:
+                raise failure[0]
+            time.sleep(_IDLE_POLL)
+            published = view
+        return published
+
+    def status(published: _Published) -> dict:
         return {
-            "epoch": state.epoch,
-            "last_seq": state.tailer.last_seq,
-            "ops_applied": state.ops_applied,
+            "epoch": published.snapshot.epoch,
+            "last_seq": published.last_seq,
+            "ops_applied": published.ops_applied,
             "records_applied": records_applied,
             "records_skipped": records_skipped,
             "resyncs": resyncs,
             "pid": os.getpid(),
         }
 
-    def handle(request) -> bool:
-        """Answer one request; ``False`` ends the serving loop."""
-        method, *args = request
-        snap = state.snapshot
+    def answer(method: str, args: list) -> tuple:
+        published = current()
         try:
-            if method == "sccnt":
-                value = snap.sccnt(*args)
-            elif method == "sccnt_many":
-                value = snap.sccnt_many(*args)
-            elif method == "spcnt":
-                value = snap.spcnt(*args)
-            elif method == "spcnt_many":
-                value = snap.spcnt_many(*args)
-            elif method == "top_suspicious":
-                value = snap.top_suspicious(*args)
+            if method in _QUERIES:
+                value = getattr(published.snapshot, method)(*args)
             elif method == "status":
-                value = status()
+                value = status(published)
             elif method == "digests":
-                value = dict(state.digests)
+                with state_lock:
+                    value = dict(state.digests)
             elif method == "state_bytes":
-                value = state.counter.to_bytes()
-            elif method == "stop":
-                conn.send(("ok", status()))
-                return False
+                with state_lock:
+                    value = state.counter.to_bytes()
             else:
-                conn.send(("err", "ClusterError",
-                           f"unknown replica method {method!r}"))
-                return True
+                return ("err", "ClusterError",
+                        f"unknown replica method {method!r}")
         except Exception as exc:  # noqa: BLE001 - shipped to the client
-            conn.send(("err", type(exc).__name__, str(exc)))
-            return True
-        conn.send(("ok", value))
-        return True
+            return ("err", type(exc).__name__, str(exc))
+        return ("ok", value)
 
+    applier.start()
     try:
-        running = True
-        while running:
-            # Queries first — readers should never wait behind a long
-            # repair that is only about freshness, not correctness.
-            answered = False
-            while conn.poll(0):
-                answered = True
-                if not handle(conn.recv()):
-                    running = False
-                    break
-            if not running:
+        while True:
+            if failure:
+                raise failure[0]
+            if not conn.poll(_LIVENESS_POLL):
+                continue
+            method, *args = conn.recv()
+            if method == "stop":
+                halt()
+                if failure:
+                    raise failure[0]
+                conn.send(("ok", status(current())))
                 break
-            before = state.tailer.records_delivered
-            drain_tail()
-            if not answered and state.tailer.records_delivered == before:
-                # Idle: sleep on the pipe so a query wakes us instantly.
-                conn.poll(_IDLE_POLL)
+            conn.send(answer(method, args))
     except (EOFError, OSError, KeyboardInterrupt):
         pass  # parent went away: exit quietly
     finally:
+        halt()
         conn.close()

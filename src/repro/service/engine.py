@@ -409,30 +409,31 @@ class ServeEngine:
     def _shutdown_durability(self) -> None:
         """Flush the WAL and (optionally) write a final checkpoint so a
         restart skips replay; idempotent, writer already joined."""
-        dur = self._durability
-        if dur is None:
-            return
-        try:
-            if (
-                self._checkpoint_on_stop
-                and self._failure is None
-                and self._writer_fatal is None
-                and self._health in (HEALTHY, DEGRADED_DURABILITY)
-                and self._published is not None
-            ):
-                dur.maybe_final_checkpoint(self._published)
-            dur.sync()
-        except BaseException as exc:  # noqa: BLE001 - surfaced via stop()
-            self._record_failure(exc)
-        finally:
+        with self._dur_lock:
+            dur = self._durability
+            if dur is None:
+                return
             try:
-                self._final_durability_stats = dur.stats()
-            except OSError:  # pragma: no cover - vanished data dir
-                pass
-            if self._dead_letter is not None:
-                self._dead_letter.close()
-            dur.close()
-            self._durability = None
+                if (
+                    self._checkpoint_on_stop
+                    and self._failure is None
+                    and self._writer_fatal is None
+                    and self._health in (HEALTHY, DEGRADED_DURABILITY)
+                    and self._published is not None
+                ):
+                    dur.maybe_final_checkpoint(self._published)
+                dur.sync()
+            except BaseException as exc:  # noqa: BLE001 - surfaced via stop()
+                self._record_failure(exc)
+            finally:
+                try:
+                    self._final_durability_stats = dur.stats()
+                except OSError:  # pragma: no cover - vanished data dir
+                    pass
+                if self._dead_letter is not None:
+                    self._dead_letter.close()
+                dur.close()
+                self._durability = None
 
     def _raise_failure_locked(self, wrap_reported: bool = False) -> None:
         """Raise the recorded failure (``_progress`` held).
@@ -688,10 +689,12 @@ class ServeEngine:
         """WAL/checkpoint counters annotated with the engine's health
         state, or ``None`` without a ``data_dir`` (after :meth:`stop`,
         the final pre-close stats)."""
-        if self._durability is not None:
-            stats = self._durability.stats()
-        else:
-            stats = self._final_durability_stats
+        with self._dur_lock:  # the writer may be rotating segments
+            dur = self._durability
+            stats = (
+                dur.stats() if dur is not None
+                else self._final_durability_stats
+            )
         if stats is None:
             return None
         return _dc_replace(stats, health=self._health)

@@ -286,18 +286,141 @@ def wait_until(predicate, timeout=10.0):
         time.sleep(0.01)
 
 
-class TestAbortHandling:
-    def seed_dir(self, tmp_path):
-        engine = ServeEngine(
-            make_graph(seed=9),
-            config=ServeConfig.from_kwargs(
-                data_dir=str(tmp_path), batch_size=1
-            ),
+def seed_dir(tmp_path):
+    """A durable directory one batch past its bootstrap; returns its
+    recovery, against which a hand-written next WAL record can land."""
+    engine = ServeEngine(
+        make_graph(seed=9),
+        config=ServeConfig.from_kwargs(
+            data_dir=str(tmp_path), batch_size=1
+        ),
+    )
+    with engine:
+        engine.submit("insert", 0, 9)
+        engine.flush()
+    return recover(tmp_path)
+
+
+def hold(monkeypatch, cls, name):
+    """Patch method ``cls.name`` to block until released; returns the
+    ``(entered, release)`` events."""
+    entered, release = threading.Event(), threading.Event()
+    original = getattr(cls, name)
+
+    def held(self, *args, **kwargs):
+        entered.set()
+        assert release.wait(10), f"{name} held for 10 s"
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, name, held)
+    return entered, release
+
+
+class TestApplyThread:
+    """Queries are answered by their own thread while the apply thread
+    is inside a batch; an epoch appears only with its snapshot."""
+
+    def append_next(self, tmp_path, recovered):
+        wal = WriteAheadLog(tmp_path / WAL_DIR)
+        wal.append_batch(recovered.last_seq + 1, (("insert", 1, 11),))
+        wal.close()
+
+    def test_reads_are_answered_during_an_apply(
+        self, tmp_path, monkeypatch
+    ):
+        recovered = seed_dir(tmp_path)
+        conn, thread = run_replica_in_thread(tmp_path)
+        try:
+            assert rpc(conn, "status")["epoch"] == recovered.epoch
+            entered, release = hold(
+                monkeypatch, ShortestCycleCounter, "apply_batch"
+            )
+            try:
+                self.append_next(tmp_path, recovered)
+                assert entered.wait(10)
+                for v in range(recovered.counter.graph.n):
+                    assert rpc(conn, "sccnt", v, timeout=1.0) == (
+                        recovered.counter.count(v)
+                    )
+                status = rpc(conn, "status", timeout=1.0)
+                assert status["epoch"] == recovered.epoch
+                assert status["last_seq"] == recovered.last_seq
+            finally:
+                release.set()
+            wait_until(
+                lambda: rpc(conn, "status")["epoch"]
+                == recovered.epoch + 1
+            )
+            assert rpc(conn, "state_bytes") == (
+                recover(tmp_path).counter.to_bytes()
+            )
+        finally:
+            rpc(conn, "stop")
+            thread.join(10)
+        assert not thread.is_alive()
+
+    def test_epoch_is_not_published_before_its_snapshot(
+        self, tmp_path, monkeypatch
+    ):
+        recovered = seed_dir(tmp_path)
+        conn, thread = run_replica_in_thread(tmp_path)
+        try:
+            assert rpc(conn, "status")["epoch"] == recovered.epoch
+            entered, release = hold(
+                monkeypatch, ShortestCycleCounter, "snapshot"
+            )
+            try:
+                self.append_next(tmp_path, recovered)
+                assert entered.wait(10)
+                # apply_batch has returned; only the capture is held.
+                status = rpc(conn, "status", timeout=1.0)
+                assert status["epoch"] == recovered.epoch
+                assert status["ops_applied"] == recovered.ops_applied
+            finally:
+                release.set()
+            wait_until(
+                lambda: rpc(conn, "status")["epoch"]
+                == recovered.epoch + 1
+            )
+            digests = rpc(conn, "digests")
+            assert sorted(digests) == [
+                recovered.epoch, recovered.epoch + 1
+            ]
+        finally:
+            rpc(conn, "stop")
+            thread.join(10)
+        assert not thread.is_alive()
+
+    def test_stop_during_an_apply_joins_the_apply_thread(
+        self, tmp_path, monkeypatch
+    ):
+        recovered = seed_dir(tmp_path)
+        conn, thread = run_replica_in_thread(tmp_path)
+        assert rpc(conn, "status")["epoch"] == recovered.epoch
+        entered, release = hold(
+            monkeypatch, ShortestCycleCounter, "apply_batch"
         )
-        with engine:
-            engine.submit("insert", 0, 9)
-            engine.flush()
-        return recover(tmp_path)
+        try:
+            self.append_next(tmp_path, recovered)
+            assert entered.wait(10)
+            conn.send(("stop",))
+            # stop replies only once the apply thread has finished.
+            assert not conn.poll(0.3)
+        finally:
+            release.set()
+        assert conn.poll(10), "stop never answered"
+        reply, final = conn.recv()
+        assert reply == "ok"
+        assert final["epoch"] == recovered.epoch + 1
+        thread.join(10)
+        assert not thread.is_alive()
+        assert not any(
+            t.name == "repro-replica-apply" for t in threading.enumerate()
+        )
+
+
+class TestAbortHandling:
+    seed_dir = staticmethod(seed_dir)
 
     def test_deterministic_failures_skip_in_lockstep(self, tmp_path):
         """A batch that fails deterministically (poisoned on the

@@ -1,6 +1,7 @@
 """ServeEngine durability wiring: log-before-publish, aborts, stats."""
 
 import random
+import threading
 
 import pytest
 
@@ -8,7 +9,7 @@ from repro.errors import EdgeExistsError
 from repro.graph.digraph import DiGraph
 from repro.persist import read_wal, recover
 from repro.persist.wal import ABORT, BATCH
-from repro.service import ServeEngine
+from repro.service import DurabilityConfig, ServeConfig, ServeEngine
 from repro.workloads.updates import mixed_update_stream
 
 pytestmark = pytest.mark.persist
@@ -115,6 +116,34 @@ class TestDurableEngine:
         after = engine.durability_stats()
         assert after is not None
         assert after.wal_records >= during.wal_records
+
+    def test_durability_stats_waits_for_the_durability_lock(
+        self, tmp_path
+    ):
+        """The stats list WAL segments, which the writer rotates under
+        ``_dur_lock``; a reader must not list them mid-rotation."""
+        engine = ServeEngine(
+            make_graph(seed=6),
+            config=ServeConfig(
+                durability=DurabilityConfig(data_dir=str(tmp_path))
+            ),
+        )
+        with engine:
+            engine.submit_many(
+                mixed_update_stream(engine.counter.graph, 4, 1)
+            )
+            engine.flush()
+            stats = []
+            reader = threading.Thread(
+                target=lambda: stats.append(engine.durability_stats())
+            )
+            with engine._dur_lock:
+                reader.start()
+                reader.join(0.3)
+                assert reader.is_alive() and stats == []
+            reader.join(10)
+            assert not reader.is_alive()
+            assert stats[0] is not None and stats[0].wal_records > 0
 
     def test_no_data_dir_means_no_durability(self, tmp_path):
         engine = ServeEngine(make_graph(seed=7))
