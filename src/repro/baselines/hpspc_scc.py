@@ -57,9 +57,10 @@ class HPSPCCycleCounter:
 
     This is the paper's *baseline system*: same index as HP-SPC for SPCnt,
     with SCCnt answered through the neighborhood reduction.  Dynamic
-    updates are supported through the generic HP-SPC maintenance
-    (:mod:`repro.labeling.dynamic`), giving the baseline update parity
-    with the CSC counter for fair dynamic comparisons.
+    updates run through the same maintenance entry points as the CSC
+    counter (:func:`repro.core.maintenance.insert_edge` /
+    :func:`repro.core.maintenance.delete_edge`), giving the baseline
+    update parity for fair dynamic comparisons.
     """
 
     def __init__(self, graph: DiGraph, order: list[int] | None = None) -> None:
@@ -76,12 +77,12 @@ class HPSPCCycleCounter:
 
     def insert_edge(self, tail: int, head: int, strategy: str = "redundancy"):
         """Insert an edge and maintain the HP-SPC index incrementally."""
-        from repro.labeling.dynamic import insert_edge
+        from repro.core.maintenance import insert_edge
 
         return insert_edge(self.index, tail, head, strategy)
 
     def delete_edge(self, tail: int, head: int):
         """Delete an edge and repair the HP-SPC index."""
-        from repro.labeling.dynamic import delete_edge
+        from repro.core.maintenance import delete_edge
 
         return delete_edge(self.index, tail, head)

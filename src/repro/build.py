@@ -11,7 +11,10 @@ The loop is sequential by design: each hub's BFS prunes against the
 labels of every higher-ranked hub, so hub ``p`` cannot start before
 hubs ``0..p-1`` have committed.  Deletion repair
 (:func:`repro.core.maintenance._repair_hub`) re-runs the same BFS, in
-its own loop, over the packed stores' hub maps.  The kernel's output is
+its own loop, over the packed stores' hub maps; next to it, the
+INCCNT kernel (:func:`repro.core.maintenance._resume_bfs`) resumes it
+from a new edge's far end with the same per-kind step, rank floor and
+couple-cycle stop, for both index kinds.  The kernel's output is
 pinned by the Table II/III goldens, the cross-checks against the naive
 DFS and BFS-CYCLE oracles and the byte-level build digests of
 ``tests/core/test_build_digest.py``; ``benchmarks/bench_build.py``

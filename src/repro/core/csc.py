@@ -354,21 +354,11 @@ class CSCIndex:
         ``sd(x_in, h) = sd(x_out, h) + 1``, with the hub ``x_in`` itself at
         distance 0 replacing the shifted cycle entry.
         """
-        return self.derived_out_into(x, {})
-
-    def derived_out_into(
-        self, x: int, buf: dict[int, tuple[int, int]]
-    ) -> dict[int, tuple[int, int]]:
-        """Reusable-buffer variant of :meth:`derived_out_map` — clears and
-        refills ``buf`` so maintenance loops that derive one map per hub
-        never reallocate."""
-        buf.clear()
-        px = self.pos[x]
-        buf[px] = (0, 1)
-        for q, dc in self._qmaps_out[x].items():
-            if q != px:
-                buf[q] = (dc[0] + 1, dc[1])
-        return buf
+        derived = {
+            q: (dc[0] + 1, dc[1]) for q, dc in self._qmaps_out[x].items()
+        }
+        derived[self.pos[x]] = (0, 1)
+        return derived
 
     def qdist_in_in(self, x: int, y: int) -> int:
         """``sd_Gb(x_in, y_in)`` via the full label cover.

@@ -1,4 +1,12 @@
-"""Dynamic maintenance of the CSC index (paper Section V).
+"""Dynamic maintenance of the CSC and HP-SPC indexes (paper Section V).
+
+The paper maintains only CSC; the same entry points maintain the HP-SPC
+baseline, so both index kinds share one resumed INCCNT BFS
+(:func:`_resume_bfs`), one UPDATE-LABEL, one CLEAN-LABEL and one DECCNT
+repair (:func:`_repair_hub`, the construction kernel
+:func:`repro.build.hub_bfs` over the live store).  The text below is
+written for CSC; `What differs by index kind`_ lists every step where
+HP-SPC, a plain 2-hop cover on ``G`` with hop distances, departs.
 
 Edge insertion — INCCNT (Algorithms 5–7)
 ----------------------------------------
@@ -22,11 +30,10 @@ prune immediately, so they are harmless.
 Labels live in the packed flat-array store
 (:mod:`repro.labeling.labelstore`), so the repair passes patch 64-bit
 entries in place.  Every pruning query is a merge-join over the store's
-maintained hub maps: the hub-side map (derived once per pass into a
-buffer reused across the whole update) is iterated, and the visited
-vertex's map is probed at C dict speed — the seed instead scanned the
-vertex's tuple list and, per hub, rebuilt the hub-side dict from
-scratch.
+maintained hub maps: the hub-side map (derived once per pass) is
+iterated, and the visited vertex's map is probed at C dict speed — the
+seed instead scanned the vertex's tuple list and, per hub, rebuilt the
+hub-side dict from scratch.
 
 Two strategies (Section V-B):
 
@@ -56,6 +63,26 @@ insertions (Figure 12(a) vs 11(a)).  It also scrubs any redundancy-mode
 leftovers of the affected hubs, which is required for correctness: a
 deletion can raise a true distance up to a stale entry's value, at which
 point that entry would otherwise re-enter query minima with a rotten count.
+
+What differs by index kind
+--------------------------
+The kind is read off the index (``isinstance(index, CSCIndex)``); no
+caller passes it.  HP-SPC departs from the CSC text above in five places
+and nowhere else:
+
+* seeds — an HP-SPC seed is the label entry plus one hop; CSC adds the
+  couple edge too, seeds hub ``b_in`` itself at ``(1, 1)``, and admits
+  hub ``a_in`` (whose cycle entry lives in ``Lout(a_out)``) backward;
+* step — the BFS level advances by 2 on ``Gb`` (couple edge plus one
+  original edge), by 1 on ``G``;
+* rank floor — a neighbour ``u`` is admitted when ``pos[u] >= floor``:
+  ``q + 1`` everywhere except CSC's backward side, where it is ``q``
+  (``q_out`` ranks below hub ``q_in``);
+* couple-cycle stop — CSC's backward side records ``q``'s cycle entry
+  at ``q`` and stops there; deletion adds ``a`` to the out-side hubs for
+  the same pair.  HP-SPC has neither;
+* distance pair — CLEAN-LABEL's redundancy test asks ``qdist_in_in`` /
+  ``qdist_out_in`` on CSC and a plain label join on HP-SPC.
 """
 
 from __future__ import annotations
@@ -64,11 +91,11 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro.core.csc import CSCIndex
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, EdgeNotFoundError
 from repro.graph.digraph import DiGraph
 from repro.graph.traversal import INF, bfs_distances
 from repro.labeling.hpspc import HPSPCIndex
-from repro.labeling.labelstore import UNREACHED, LabelStore
+from repro.labeling.labelstore import UNREACHED, LabelStore, join_min_dist
 
 __all__ = [
     "UpdateStats",
@@ -130,90 +157,117 @@ def _canonical_shift_map(
 
 
 def insert_edge(
-    index: CSCIndex, a: int, b: int, strategy: str = "redundancy"
+    index: CSCIndex | HPSPCIndex,
+    a: int,
+    b: int,
+    strategy: str = "redundancy",
 ) -> UpdateStats:
     """Insert edge ``(a, b)`` into the graph and update the index (INCCNT).
 
-    Raises :class:`~repro.errors.EdgeExistsError` (before touching the
-    index) if the edge is already present.
+    ``index`` is a :class:`~repro.core.csc.CSCIndex` or an
+    :class:`~repro.labeling.hpspc.HPSPCIndex`.  Raises
+    :class:`~repro.errors.EdgeExistsError` (before touching the index) if
+    the edge is already present.
     """
     _check_strategy(strategy)
     index.graph.add_edge(a, b)
     index.ensure_inverted()
     stats = UpdateStats("insert", (a, b), strategy)
+    csc = isinstance(index, CSCIndex)
+    step = 2 if csc else 1
     pos = index.pos
     pa, pb = pos[a], pos[b]
     maps_in = index.store_in.ensure_maps()
     maps_out = index.store_out.ensure_maps()
 
-    forward_seeds: dict[int, tuple[int, int]] = {}
-    for q, dc in maps_in[a].items():
-        if q < pb:
-            # sd(q_in, a_out) = d + 1; BFS starts at b_in one edge later.
-            forward_seeds[q] = (dc[0] + 2, dc[1])
-    backward_seeds: dict[int, tuple[int, int]] = {}
-    if pb <= pa:
+    # Seeds (Theorem V.1): a label entry's (dist, count) carried across
+    # the new edge.  CSC's stored Lin(a_in) / Lout(b_out) sit one couple
+    # edge further from a_out / b_in, hence the Gb step.
+    forward_seeds = {
+        q: (dc[0] + step, dc[1]) for q, dc in maps_in[a].items() if q < pb
+    }
+    # CSC also seeds hub a_in itself: it owns a_out's cycle entry.
+    limit = pa + 1 if csc else pa
+    backward_seeds = {
+        q: (dc[0] + step, dc[1])
+        for q, dc in maps_out[b].items()
+        if q < limit
+    }
+    if csc and pb <= pa:
         backward_seeds[pb] = (1, 1)  # hub b_in itself: a_out -> b_in
-    for q, dc in maps_out[b].items():
-        if q != pb and q <= pa:
-            # sd(b_in, q_in) = d + 1; reverse BFS starts at a_out.
-            backward_seeds[q] = (dc[0] + 2, dc[1])
 
-    # Hub-side full-map buffers, reused across every hub of this update.
-    full_buf: dict[int, int] = {}
-    for q in sorted(set(forward_seeds) | set(backward_seeds)):
+    for q in sorted(forward_seeds.keys() | backward_seeds.keys()):
         stats.hubs_processed += 1
         seed = forward_seeds.get(q)
         if seed is not None:
-            _forward_pass(
-                index, q, b, seed[0], seed[1], strategy, stats, full_buf
-            )
+            _resume_bfs(index, csc, q, b, seed, True, strategy, stats)
         seed = backward_seeds.get(q)
         if seed is not None:
-            _backward_pass(
-                index, q, a, seed[0], seed[1], strategy, stats, full_buf
-            )
+            _resume_bfs(index, csc, q, a, seed, False, strategy, stats)
     return stats
 
 
-def _forward_pass(
-    index: CSCIndex,
+def _resume_bfs(
+    index: CSCIndex | HPSPCIndex,
+    csc: bool,
     q: int,
     start: int,
-    d0: int,
-    c0: int,
+    seed: tuple[int, int],
+    forward: bool,
     strategy: str,
     stats: UpdateStats,
-    out_full: dict[int, int],
 ) -> None:
-    """Algorithm 6 (FORWARD-PASS): update in-labels below hub ``q``."""
+    """Algorithm 6 (FORWARD-PASS) and its backward mirror: the resumed
+    counting BFS of hub ``q`` from ``start``, updating in-labels
+    (``forward``) or out-labels below ``q``.
+
+    The per-kind constants are set once, as in
+    :func:`repro.build.hub_bfs`: the level step, the rank floor a
+    neighbour must reach, the couple-cycle stop vertex and the
+    hub-side maps' couple shift."""
     graph = index.graph
     pos = index.pos
-    store_in = index.store_in
     hub_vertex = index.order[q]
-    # Full and canonical views of the derived Lout(q_in); the full map
-    # fills a buffer reused across the whole insert.
-    out_full.clear()
-    out_full[q] = 0
-    for q2, dc in index.store_out.ensure_maps()[hub_vertex].items():
-        if q2 != q:
-            out_full[q2] = dc[0] + 1
-    out_canon = _canonical_shift_map(index.store_out, hub_vertex, q, 1)
+    step = 2 if csc else 1
+    floor = q + 1
+    stop = -1
+    shift = 0
+    if forward:
+        store, side = index.store_in, index.store_out
+        inv = index._inv_in
+        neighbors = graph.out_neighbors
+        if csc:
+            shift = 1  # Lout(q_in) is Lout(q_out) one couple edge on
+    else:
+        store, side = index.store_out, index.store_in
+        inv = index._inv_out
+        neighbors = graph.in_neighbors
+        if csc:
+            floor = q  # q_out ranks below hub q_in, so q is admitted
+            stop = hub_vertex
+    # Full and canonical hub-side maps.  Every hub of the full map ranks
+    # at or above q, so probing w's map against it covers exactly the
+    # seed's <=q label prefix scan.  The hub itself sits at distance 0;
+    # on CSC's forward side that replaces Lout(q_out)'s cycle entry.
+    full_items = [
+        (h2, dc[0] + shift)
+        for h2, dc in side.ensure_maps()[hub_vertex].items()
+        if h2 != q
+    ]
+    full_items.append((q, 0))
+    canon = _canonical_shift_map(side, hub_vertex, q, shift)
 
-    maps_in = store_in.ensure_maps()
-    full_items = list(out_full.items())
-    dist: dict[int, int] = {start: d0}
-    cnt: dict[int, int] = {start: c0}
+    target_maps = store.ensure_maps()
+    dist: dict[int, int] = {start: seed[0]}
+    cnt: dict[int, int] = {start: seed[1]}
     queue: deque[int] = deque((start,))
     while queue:
         w = queue.popleft()
         d_w = dist[w]
         stats.vertices_visited += 1
-        # Full-index pruning query (Algorithm 6): every hub of the derived
-        # Lout(q_in) ranks at or above q, so probing w's full map against
-        # those hubs covers exactly the seed's <=q label prefix scan.
+        # Full-index pruning query (Algorithm 6).
         d_query = UNREACHED
-        get = maps_in[w].get
+        get = target_maps[w].get
         for h2, od in full_items:
             t = get(h2)
             if t is not None:
@@ -223,71 +277,15 @@ def _forward_pass(
         if d_w > d_query:
             continue  # Case 1: not on a new shortest path
         _update_entry(
-            index, store_in, index._inv_in, w, q, d_w, cnt[w],
-            out_canon, forward=True, strategy=strategy, stats=stats,
+            index, store, inv, w, q, d_w, cnt[w], canon, forward,
+            strategy, stats,
         )
-        d_next = d_w + 2
-        c_w = cnt[w]
-        for u in graph.out_neighbors(w):
-            if pos[u] > q:
-                d_u = dist.get(u)
-                if d_u is None:
-                    dist[u] = d_next
-                    cnt[u] = c_w
-                    queue.append(u)
-                elif d_u == d_next:
-                    cnt[u] += c_w
-
-
-def _backward_pass(
-    index: CSCIndex,
-    q: int,
-    start: int,
-    d0: int,
-    c0: int,
-    strategy: str,
-    stats: UpdateStats,
-    in_full: dict[int, int],
-) -> None:
-    """BACKWARD-PASS: update out-labels below hub ``q`` (reverse BFS)."""
-    graph = index.graph
-    pos = index.pos
-    store_out = index.store_out
-    hub_vertex = index.order[q]
-    in_full.clear()
-    for q2, dc in index.store_in.ensure_maps()[hub_vertex].items():
-        in_full[q2] = dc[0]
-    in_canon = _canonical_shift_map(index.store_in, hub_vertex, q, 0)
-
-    maps_out = store_out.ensure_maps()
-    full_items = list(in_full.items())
-    dist: dict[int, int] = {start: d0}
-    cnt: dict[int, int] = {start: c0}
-    queue: deque[int] = deque((start,))
-    while queue:
-        w = queue.popleft()
-        d_w = dist[w]
-        stats.vertices_visited += 1
-        d_query = UNREACHED
-        get = maps_out[w].get
-        for h2, od in full_items:
-            t = get(h2)
-            if t is not None:
-                d2 = od + t[0]
-                if d2 < d_query:
-                    d_query = d2
-        if d_w > d_query:
-            continue
-        _update_entry(
-            index, store_out, index._inv_out, w, q, d_w, cnt[w],
-            in_canon, forward=False, strategy=strategy, stats=stats,
-        )
-        if w == hub_vertex:
+        if w == stop:
             continue  # couple-cycle: cycle entry updated, prune
-        d_next = d_w + 2
+        d_next = d_w + step
         c_w = cnt[w]
-        for u in graph.in_neighbors(w):
-            if pos[u] >= q:
+        for u in neighbors(w):
+            if pos[u] >= floor:
                 d_u = dist.get(u)
                 if d_u is None:
                     dist[u] = d_next
@@ -298,9 +296,9 @@ def _backward_pass(
 
 
 def _update_entry(
-    index: CSCIndex,
+    index: CSCIndex | HPSPCIndex,
     store: LabelStore,
-    inv: list[set[int]] | None,
+    inv: list[set[int]],
     w: int,
     q: int,
     d: int,
@@ -337,8 +335,7 @@ def _update_entry(
         # d > d_old is impossible: the pruning query is bounded by d_old.
     else:
         store.insert_sorted(w, q, d, c, flag)
-        if inv is not None:
-            inv[q].add(w)
+        inv[q].add(w)
         stats.entries_added += 1
         if strategy == "minimality":
             _clean_vertex(index, w, forward, stats)
@@ -350,63 +347,58 @@ def _update_entry(
 
 
 def _clean_vertex(
-    index: CSCIndex, w: int, forward: bool, stats: UpdateStats
+    index: CSCIndex | HPSPCIndex, w: int, forward: bool, stats: UpdateStats
 ) -> None:
     """Remove every redundant entry made observable by an update at ``w``.
 
     Forward case: scrub ``Lin(w)`` and out-labels of other vertices whose
-    hub is ``w_in``; backward case: mirror image.
+    hub is ``w`` (``w_in``); backward case: mirror image.  An entry is
+    redundant when it exceeds the full-index distance of its pair.
     """
-    inv_in, inv_out = index.ensure_inverted()
-    order = index.order
-    if forward:
-        store = index.store_in
-        entries = store.entries(w)
-        keep = []
-        for entry in entries:
-            q2, d2, _c2, _f2 = entry
-            if d2 > index.qdist_in_in(order[q2], w):
-                inv_in[q2].discard(w)
-                stats.entries_removed += 1
-            else:
-                keep.append(entry)
-        if len(keep) != len(entries):
-            store.replace_vertex(w, keep)
-        hub_w = index.pos[w]
-        other = index.store_out
-        for v in list(inv_out[hub_w]):
-            i = other.hub_index(v, hub_w)
-            if i < 0:
-                inv_out[hub_w].discard(v)
-                continue
-            if other.decode(v, i)[1] > index.qdist_out_in(v, w):
-                other.delete_at(v, i)
-                inv_out[hub_w].discard(v)
-                stats.entries_removed += 1
+    if isinstance(index, CSCIndex):
+        dist_in, dist_out = index.qdist_in_in, index.qdist_out_in
     else:
-        store = index.store_out
-        entries = store.entries(w)
-        keep = []
-        for entry in entries:
-            q2, d2, _c2, _f2 = entry
-            if d2 > index.qdist_out_in(w, order[q2]):
-                inv_out[q2].discard(w)
-                stats.entries_removed += 1
-            else:
-                keep.append(entry)
-        if len(keep) != len(entries):
-            store.replace_vertex(w, keep)
-        hub_w = index.pos[w]
-        other = index.store_in
-        for v in list(inv_in[hub_w]):
-            i = other.hub_index(v, hub_w)
-            if i < 0:
-                inv_in[hub_w].discard(v)
-                continue
-            if other.decode(v, i)[1] > index.qdist_in_in(w, v):
-                other.delete_at(v, i)
-                inv_in[hub_w].discard(v)
-                stats.entries_removed += 1
+        maps_in = index.store_in.ensure_maps()
+        maps_out = index.store_out.ensure_maps()
+
+        def dist_in(s: int, t: int) -> int:
+            return join_min_dist(maps_out[s], maps_in[t])
+
+        dist_out = dist_in
+    inv_in, inv_out = index.ensure_inverted()
+    if forward:
+        store, inv, own_dist = index.store_in, inv_in, dist_in
+        other, other_inv, other_dist = index.store_out, inv_out, dist_out
+    else:
+        store, inv, own_dist = index.store_out, inv_out, dist_out
+        other, other_inv, other_dist = index.store_in, inv_in, dist_in
+
+    def pair_dist(query, x: int) -> int:
+        # Every pair runs from x to w forward, from w to x backward.
+        return query(x, w) if forward else query(w, x)
+
+    order = index.order
+    entries = store.entries(w)
+    keep = []
+    for entry in entries:
+        q2 = entry[0]
+        if entry[1] > pair_dist(own_dist, order[q2]):
+            inv[q2].discard(w)
+            stats.entries_removed += 1
+        else:
+            keep.append(entry)
+    if len(keep) != len(entries):
+        store.replace_vertex(w, keep)
+    hub_w = index.pos[w]
+    for v in list(other_inv[hub_w]):
+        i = other.hub_index(v, hub_w)
+        if i < 0:
+            other_inv[hub_w].discard(v)
+            continue
+        if other.decode(v, i)[1] > pair_dist(other_dist, v):
+            other.delete_at(v, i)
+            other_inv[hub_w].discard(v)
+            stats.entries_removed += 1
 
 
 # ---------------------------------------------------------------------------
@@ -476,19 +468,25 @@ def deletion_affected_hubs(
     return aff_in, aff_out
 
 
-def delete_edge(index: CSCIndex, a: int, b: int) -> UpdateStats:
+def delete_edge(
+    index: CSCIndex | HPSPCIndex, a: int, b: int
+) -> UpdateStats:
     """Delete edge ``(a, b)`` from the graph and repair the index (DECCNT).
 
-    Raises :class:`~repro.errors.EdgeNotFoundError` (before touching the
-    index) if the edge is absent.
+    ``index`` is a :class:`~repro.core.csc.CSCIndex` or an
+    :class:`~repro.labeling.hpspc.HPSPCIndex`.  Raises
+    :class:`~repro.errors.EdgeNotFoundError` (before touching the index)
+    if the edge is absent.
     """
     graph = index.graph
     if not graph.has_edge(a, b):
-        from repro.errors import EdgeNotFoundError
-
         raise EdgeNotFoundError(a, b)
     # Pre-deletion hop BFSes give the affected-hub conditions exactly.
     aff_in, aff_out = deletion_affected_hubs(graph, a, b)
+    if not isinstance(index, CSCIndex):
+        # No couple-cycle pair on G: the hop conditions never hold for
+        # `a` itself, so this drops exactly the CSC-only cycle term.
+        aff_out.discard(a)
     graph.remove_edge(a, b)
     index.ensure_inverted()
     stats = UpdateStats("delete", (a, b))
@@ -509,16 +507,15 @@ def _repair_hub(
     h: int,
     forward: bool,
     stats: UpdateStats,
-    csc: bool = True,
 ) -> None:
     """Re-run the construction BFS for hub ``h`` on the current graph and
     replace the hub's label fingerprint (fresh upserts + stale removals),
     patching packed entries in place.
 
     The BFS is :func:`repro.build.hub_bfs` — same ``csc`` /
-    ``forward`` parameters, same seeds, pruning and rank test — run over
-    the live store's hub maps instead of tuple lists; ``csc=False``
-    repairs an :class:`~repro.labeling.hpspc.HPSPCIndex`."""
+    ``forward`` switches, same seeds, pruning and rank test — run over
+    the live store's hub maps instead of tuple lists."""
+    csc = isinstance(index, CSCIndex)
     graph = index.graph
     pos = index.pos
     ph = pos[h]

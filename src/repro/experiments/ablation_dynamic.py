@@ -1,11 +1,13 @@
 """Ablation: dynamic maintenance cost, CSC vs the HP-SPC baseline.
 
 The paper maintains only the CSC index (its baselines are static).  This
-reproduction also implements generic dynamic maintenance for HP-SPC
-(:mod:`repro.labeling.dynamic`), which makes a head-to-head update-cost
-comparison possible: both indexes replay the same delete-then-reinsert
-batch, and we measure per-edge insertion and deletion times plus the
-query-speed consequence on high-degree vertices.
+reproduction also maintains HP-SPC, through the same entry points
+(:func:`repro.core.maintenance.insert_edge` /
+:func:`repro.core.maintenance.delete_edge`, which take either index),
+so a head-to-head update-cost comparison is possible: both indexes
+replay the same delete-then-reinsert batch, and we measure per-edge
+insertion and deletion times plus the query-speed consequence on
+high-degree vertices.
 """
 
 from __future__ import annotations
@@ -13,10 +15,9 @@ from __future__ import annotations
 import time
 
 from repro.core.csc import CSCIndex
-from repro.core import maintenance as csc_dynamic
+from repro.core.maintenance import delete_edge, insert_edge
 from repro.experiments.results import ExperimentResult
 from repro.graph.datasets import DATASETS
-from repro.labeling import dynamic as hpspc_dynamic
 from repro.labeling.hpspc import HPSPCIndex
 from repro.labeling.ordering import degree_order
 from repro.workloads.updates import random_edge_batch
@@ -42,30 +43,16 @@ def run(
         order = degree_order(graph)
         batch = random_edge_batch(graph, batch_size, seed).edges
         extras[name] = {}
-        for label, build, ins, dele in (
-            (
-                "CSC",
-                lambda g: CSCIndex.build(g, order),
-                csc_dynamic.insert_edge,
-                csc_dynamic.delete_edge,
-            ),
-            (
-                "HP-SPC",
-                lambda g: HPSPCIndex.build(g, order),
-                hpspc_dynamic.insert_edge,
-                hpspc_dynamic.delete_edge,
-            ),
-        ):
-            work_graph = graph.copy()
-            index = build(work_graph)
+        for label, kind in (("CSC", CSCIndex), ("HP-SPC", HPSPCIndex)):
+            index = kind.build(graph.copy(), order)
             entries_before = index.total_entries()
             start = time.perf_counter()
             for tail, head in batch:
-                dele(index, tail, head)
+                delete_edge(index, tail, head)
             delete_s = time.perf_counter() - start
             start = time.perf_counter()
             for tail, head in batch:
-                ins(index, tail, head)
+                insert_edge(index, tail, head)
             insert_s = time.perf_counter() - start
             delta = index.total_entries() - entries_before
             rows.append(
@@ -87,7 +74,8 @@ def run(
         rows,
         notes=[
             "the paper maintains only CSC; HP-SPC maintenance is this "
-            "reproduction's extension (repro.labeling.dynamic)",
+            "reproduction's extension (repro.core.maintenance, shared "
+            "with CSC)",
             "expectation: similar per-edge cost — CSC pays a constant "
             "factor for the implicit bipartite stride, and wins overall "
             "because its *queries* stay degree-independent (Figure 10)",

@@ -77,7 +77,7 @@ class HPSPCIndex:
         self.store_in: LabelStore = coerce_store(label_in)
         self.store_out: LabelStore = coerce_store(label_out)
         # Inverted indexes, built lazily by ensure_inverted() for
-        # repro.labeling.dynamic.
+        # repro.core.maintenance.
         self._inv_in: list[set[int]] | None = None
         self._inv_out: list[set[int]] | None = None
 

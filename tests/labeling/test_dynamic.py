@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.maintenance import delete_edge, insert_edge
 from repro.graph.digraph import DiGraph
 from repro.graph.traversal import INF, count_shortest_paths
-from repro.labeling.dynamic import delete_edge, insert_edge
 from repro.labeling.hpspc import HPSPCIndex
 from tests.conftest import digraphs, random_digraph
 
