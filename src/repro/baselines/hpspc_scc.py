@@ -12,6 +12,7 @@ which is exactly the degree-sensitivity Figure 10 demonstrates.
 
 from __future__ import annotations
 
+from repro.core.maintenance import delete_edge, insert_edge
 from repro.graph.digraph import DiGraph
 from repro.labeling.hpspc import HPSPCIndex
 from repro.types import NO_CYCLE, CycleCount
@@ -77,12 +78,8 @@ class HPSPCCycleCounter:
 
     def insert_edge(self, tail: int, head: int, strategy: str = "redundancy"):
         """Insert an edge and maintain the HP-SPC index incrementally."""
-        from repro.core.maintenance import insert_edge
-
         return insert_edge(self.index, tail, head, strategy)
 
     def delete_edge(self, tail: int, head: int):
         """Delete an edge and repair the HP-SPC index."""
-        from repro.core.maintenance import delete_edge
-
         return delete_edge(self.index, tail, head)

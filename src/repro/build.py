@@ -23,20 +23,56 @@ records its speed (``BENCH_build.json``, label entries per second).
 
 from __future__ import annotations
 
+import gc
 from collections import deque
+from collections.abc import Iterator
+from contextlib import contextmanager
 
-from repro.labeling.labelstore import UNREACHED
+from repro.labeling.labelstore import UNREACHED, LabelStore
 
-__all__ = ["build_label_tables", "hub_bfs"]
+__all__ = ["build_label_tables", "hub_bfs", "paused_gc"]
 
-Entry = tuple[int, int, int, bool]
+
+@contextmanager
+def paused_gc() -> Iterator[None]:
+    """Run the body with the cyclic garbage collector paused, and hand
+    the caller's collector state back unchanged.
+
+    Construction and crash recovery allocate label containers by the
+    hundred thousand, none of them in a reference cycle, so every
+    collection the collector would run meanwhile scans a growing heap
+    and frees nothing.
+
+    * ``gc.disable()`` is process-wide: while a pause lasts, no thread's
+      cyclic garbage is collected.
+    * The state is saved on entry and restored on exit, also when the
+      body raises.  Overlapping pauses from two threads still end with
+      the collector enabled if it was enabled before: the pause that
+      found it enabled re-enables it when it ends, the one that found it
+      disabled leaves it alone.  If the former ends first, the other
+      pause is cut short; nothing is left disabled.
+    * The young generation the pause leaves behind is collected once, on
+      the next allocation after the pause ends: one pass over everything
+      the pause allocated, instead of the hundreds of young, middle and
+      full collections the allocations would have triggered.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def hub_bfs(graph, h, ph, pos, label_in, label_out, canon_in, canon_out,
             dist, cnt, csc, forward) -> None:
     """One pruned counting BFS of hub ``h`` (rank ``ph``), appending the
-    hub's ``(rank, dist, count, canonical)`` entries to the tables in
-    place — Algorithm 3's per-hub loop.
+    hub's entries to the tables in place — Algorithm 3's per-hub loop.
+    Each vertex's table is one flat list, four items per entry:
+    ``rank, dist, count, canonical``.  Flat lists of ints hold no
+    per-entry object that the cyclic GC tracks, so freeing them after
+    packing is cheap.
 
     ``forward`` generates in-labels (pruning joins the hub's ``Lout``
     against the dequeued vertex's ``Lin``), the backward side the
@@ -101,7 +137,7 @@ def hub_bfs(graph, h, ph, pos, label_in, label_out, canon_in, canon_out,
         if d_via < d_w:
             continue
         canonical = d_via > d_w
-        target[w].append((ph, d_w, cnt[w], canonical))
+        target[w] += (ph, d_w, cnt[w], canonical)
         if canonical:
             canon_w[ph] = d_w
         if w == stop:
@@ -124,26 +160,33 @@ def hub_bfs(graph, h, ph, pos, label_in, label_out, canon_in, canon_out,
 
 def build_label_tables(
     graph, order: list[int], pos: list[int], csc: bool
-) -> tuple[list[list[Entry]], list[list[Entry]]]:
-    """Construct ``(label_in, label_out)`` for ``graph`` under ``order``:
-    both BFS sides of every hub, in rank order.  ``csc`` selects the
-    CSC index, otherwise HP-SPC.  Rank order keeps every per-vertex
-    list sorted by hub rank.
+) -> tuple[LabelStore, LabelStore]:
+    """Construct the packed ``(Lin, Lout)`` stores for ``graph`` under
+    ``order``: both BFS sides of every hub, in rank order, then one
+    packing pass per vertex (:meth:`LabelStore.from_flat
+    <repro.labeling.labelstore.LabelStore.from_flat>`).  ``csc`` selects
+    the CSC index, otherwise HP-SPC; the CSC stores also get the
+    distance views its query kernels read.  Rank order keeps every
+    per-vertex list sorted by hub rank.
 
     The build-time canonical maps :func:`hub_bfs` prunes against (one
-    ``{rank: dist}`` dict per vertex and side) live only for the
-    duration of this call; the returned tuple tables carry every
-    entry, canonical flag included."""
+    ``{rank: dist}`` dict per vertex and side) are dropped before
+    packing.  Everything runs with the cyclic GC paused
+    (:func:`paused_gc`): the build allocates only acyclic containers,
+    so a collection would free nothing."""
     n = graph.n
-    label_in: list[list[Entry]] = [[] for _ in range(n)]
-    label_out: list[list[Entry]] = [[] for _ in range(n)]
-    canon_in: list[dict[int, int]] = [{} for _ in range(n)]
-    canon_out: list[dict[int, int]] = [{} for _ in range(n)]
-    dist = [UNREACHED] * n
-    cnt = [0] * n
-    for p, h in enumerate(order):
-        hub_bfs(graph, h, p, pos, label_in, label_out, canon_in, canon_out,
-                dist, cnt, csc, True)
-        hub_bfs(graph, h, p, pos, label_in, label_out, canon_in, canon_out,
-                dist, cnt, csc, False)
-    return label_in, label_out
+    with paused_gc():
+        label_in: list[list] = [[] for _ in range(n)]
+        label_out: list[list] = [[] for _ in range(n)]
+        canon_in: list[dict[int, int]] = [{} for _ in range(n)]
+        canon_out: list[dict[int, int]] = [{} for _ in range(n)]
+        dist = [UNREACHED] * n
+        cnt = [0] * n
+        for p, h in enumerate(order):
+            hub_bfs(graph, h, p, pos, label_in, label_out, canon_in,
+                    canon_out, dist, cnt, csc, True)
+            hub_bfs(graph, h, p, pos, label_in, label_out, canon_in,
+                    canon_out, dist, cnt, csc, False)
+        del canon_in, canon_out
+        return (LabelStore.from_flat(label_in, csc),
+                LabelStore.from_flat(label_out, csc))

@@ -171,9 +171,9 @@ class CSCIndex:
         # chain reaches this module.
         from repro.build import build_label_tables
 
-        label_in, label_out = build_label_tables(graph, order_list, pos,
+        store_in, store_out = build_label_tables(graph, order_list, pos,
                                                  csc=True)
-        return cls(graph, order_list, pos, label_in, label_out)
+        return cls(graph, order_list, pos, store_in, store_out)
 
     def copy(self, copy_graph: bool = True) -> CSCIndex:
         """Independent copy of the index (and, by default, its graph) —

@@ -11,7 +11,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from repro.baselines.naive import enumerate_shortest_cycles
 from repro.graph.digraph import DiGraph
 
 from repro.errors import ConfigurationError
@@ -91,6 +90,10 @@ def cycle_subgraph(graph: DiGraph, center: int) -> Subgraph:
     Uses exhaustive enumeration; intended for presentation-sized
     neighborhoods, not bulk queries.
     """
+    # Local: the graph layer sits below the baselines, whose package
+    # init imports the index layer.
+    from repro.baselines.naive import enumerate_shortest_cycles
+
     cycles = enumerate_shortest_cycles(graph, center)
     members: list[int] = [center]
     for cycle in cycles:

@@ -117,9 +117,9 @@ class HPSPCIndex:
         # init imports this module.
         from repro.build import build_label_tables
 
-        label_in, label_out = build_label_tables(graph, order_list, pos,
+        store_in, store_out = build_label_tables(graph, order_list, pos,
                                                  csc=False)
-        return cls(graph, order_list, pos, label_in, label_out)
+        return cls(graph, order_list, pos, store_in, store_out)
 
     # ------------------------------------------------------------------
     # Queries

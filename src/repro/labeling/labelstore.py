@@ -54,10 +54,21 @@ repairing the live store.
 Serialization (:meth:`LabelStore.to_bytes` / :meth:`from_bytes`) dumps
 the packed arrays with ``array.tobytes`` — one memcpy per vertex instead
 of the seed's per-entry ``struct.pack`` loop — and restores them with
-``array.frombytes``.  A standalone store defers accelerator
-construction until a caller asks for it (``ensure_maps`` & co.); note
-that ``CSCIndex`` asks at construction time, so a live index always has
-its accelerators resident.
+``array.frombytes``.  Which accelerators exist up front depends on where
+a store comes from:
+
+* :meth:`LabelStore.from_flat` (index construction) packs the words,
+  canonical bits and overflow table in one pass per vertex and builds
+  ``_maps`` in the same pass; for the CSC index the pass also builds
+  ``_dists`` and ``_bydist``, HP-SPC stores get ``_maps`` only.  Equal
+  accelerator tuples are built once per store and shared.
+* :meth:`LabelStore.from_lists` (tuple tables) runs the same pass and
+  builds ``_maps``.
+* A store loaded with :meth:`from_bytes` builds nothing until a caller
+  asks (``ensure_maps`` & co.).
+
+``CSCIndex`` asks for all three when it is constructed, so a live CSC
+index always has its accelerators resident.
 
 :class:`LabelTable` / :class:`LabelView` are list-compatible facades so
 diagnostics and the existing test suite keep reading (and corrupting)
@@ -71,12 +82,14 @@ import sys
 from array import array
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Sequence
+from operator import itemgetter
 
 from repro.errors import FrozenSnapshotError, SerializationError
 from repro.labeling.packing import (
     COUNT_BITS,
     DISTANCE_BITS,
     ENTRY_BYTES,
+    VERTEX_BITS,
     pack_entry,
 )
 
@@ -100,6 +113,7 @@ UNREACHED = 1 << 60
 #: Bit offset of the hub-rank field inside a packed word (= 41).
 HUB_SHIFT = DISTANCE_BITS + COUNT_BITS
 
+_VERTEX_MAX = (1 << VERTEX_BITS) - 1
 _DIST_MASK = (1 << DISTANCE_BITS) - 1
 _COUNT_MASK = (1 << COUNT_BITS) - 1
 
@@ -112,9 +126,51 @@ _MAGIC = b"RPLS"
 _VERSION = 1
 
 
+#: ``bytes.translate`` table turning 0/1 flag bytes into ``int(.., 2)``
+#: digits.
+_BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+#: Sort key of the ``(dist, hub, count)`` view: distance alone.
+_first = itemgetter(0)
+
+
 def _pack(hub: int, dist: int, count: int) -> int:
     """Pack one entry, saturating the count (exact value goes to ``big``)."""
     return pack_entry(hub, dist, count, saturate=True)
+
+
+def _pack_columns(
+    hubs: Sequence[int], dists: Sequence[int], counts: Sequence[int],
+    flags: Sequence[bool],
+) -> tuple[array, int, dict[int, int] | None]:
+    """Pack one vertex's non-empty label, given as parallel columns:
+    ``(words, canonical bits, overflow table or None)``.
+
+    The common case checks the vertex and distance fields once per
+    vertex with ``max()`` and packs every word in one comprehension.  A
+    field out of range or a saturated count takes the entry-by-entry
+    path, which raises :class:`~repro.errors.PackingOverflowError` on
+    the first bad vertex or distance and keeps saturated counts exact
+    in the overflow table.  A negative field makes its word negative,
+    which ``array('Q')`` refuses, so it takes that path too.
+    """
+    words = None
+    if (max(hubs) <= _VERTEX_MAX and max(dists) <= _DIST_MASK
+            and max(counts) < COUNT_SATURATED):
+        try:
+            words = array("Q", [
+                h << HUB_SHIFT | d << COUNT_BITS | c
+                for h, d, c in zip(hubs, dists, counts)
+            ])
+        except OverflowError:
+            pass
+    big = None
+    if words is None:
+        words = array("Q", map(_pack, hubs, dists, counts))
+        big = {h: c for h, c in zip(hubs, counts)
+               if c >= COUNT_SATURATED} or None
+    bits = int(bytes(flags[::-1]).translate(_BIT_DIGITS), 2)
+    return words, bits, big
 
 
 class LabelStore:
@@ -146,31 +202,69 @@ class LabelStore:
     def from_lists(cls, tables: Sequence[Sequence[Entry]]) -> LabelStore:
         """Pack a list-of-tuple-lists label table (the seed representation).
 
-        Builds the join maps in the same pass, so a freshly built index
-        pays no extra query-time materialization.
+        Builds the ``_maps`` join accelerator in the same pass
+        (:meth:`from_flat`); the distance views stay lazy.
         """
-        store = cls(len(tables))
+        return cls.from_flat(
+            [[x for hub, dist, count, flag in entries
+              for x in (hub, dist, count, bool(flag))]
+             for entries in tables],
+            False,
+        )
+
+    @classmethod
+    def from_flat(cls, flats: Sequence[list], dist_views: bool) -> LabelStore:
+        """Pack per-vertex flat entry lists ``[hub, dist, count,
+        canonical, hub, ...]`` — what construction writes.
+
+        One pass per vertex packs the words, the canonical bits and the
+        overflow table and builds the ``_maps`` join accelerator.  With
+        ``dist_views`` — construction of the CSC index, whose query
+        kernels read them — the same pass also builds ``_dists`` and
+        ``_bydist``; otherwise they stay lazy.  ``dist_views`` requires
+        each vertex's entries in ascending hub order, as construction
+        writes them: ``_bydist`` is then a stable sort by distance alone,
+        which is the ``(dist, hub)`` order :meth:`ensure_bydist`
+        produces.
+
+        Equal accelerator tuples are shared, one object per value and
+        store: labels repeat few values.  On perfbench's churn graph the
+        larger side holds 63k entries but about 140 distinct ``(dist,
+        count, canonical)`` values and 4k distinct ``(dist, hub, count)``
+        rows.  Sharing keeps the build's young generation small, so the
+        one collection that follows a paused-GC build
+        (:func:`repro.build.paused_gc`) is short, and it saves the
+        memory of the duplicates.
+        """
+        store = cls(0)
+        value_of = {}.setdefault
+        row_of = {}.setdefault
         packed = store.packed
         canon = store.canon
         big = store.big
         maps: list[dict[int, tuple[int, int, bool]]] = []
-        for v, entries in enumerate(tables):
-            arr = packed[v]
-            bits = 0
-            vmap: dict[int, tuple[int, int, bool]] = {}
-            for i, (hub, dist, count, flag) in enumerate(entries):
-                arr.append(_pack(hub, dist, count))
-                flag = bool(flag)
-                if flag:
-                    bits |= 1 << i
-                if count >= COUNT_SATURATED:
-                    b = big[v]
-                    if b is None:
-                        b = big[v] = {}
-                    b[hub] = count
-                vmap[hub] = (dist, count, flag)
-            canon[v] = bits
+        if dist_views:
+            store._dists = dists_of = []
+            store._bydist = bydist_of = []
+        for flat in flats:
+            if flat:
+                hubs, dists, counts, flags = (
+                    flat[0::4], flat[1::4], flat[2::4], flat[3::4]
+                )
+                arr, bits, b = _pack_columns(hubs, dists, counts, flags)
+                values = list(zip(dists, counts, flags))
+                vmap = dict(zip(hubs, map(value_of, values, values)))
+            else:
+                hubs = dists = counts = ()
+                arr, bits, b, vmap = array("Q"), 0, None, {}
+            packed.append(arr)
+            canon.append(bits)
+            big.append(b)
             maps.append(vmap)
+            if dist_views:
+                dists_of.append(dict(zip(hubs, dists)))
+                rows = list(zip(dists, hubs, counts))
+                bydist_of.append(sorted(map(row_of, rows, rows), key=_first))
         store._maps = maps
         return store
 

@@ -34,10 +34,10 @@ dropping an acknowledged batch.
 
 from __future__ import annotations
 
-import gc
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro.build import paused_gc
 from repro.core.batch import BatchStats, plan_batch
 from repro.core.counter import ShortestCycleCounter
 from repro.core.csc import CSCIndex
@@ -177,16 +177,9 @@ def recover(
     checkpoint (leave ``None`` to keep what the data was written with).
     """
     # Recovery allocates a large number of long-lived but acyclic label
-    # containers, so every full collection the cyclic GC runs meanwhile
-    # scans the growing heap and frees nothing.  Pause it for the
-    # duration and hand the caller's GC state back unchanged.
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
+    # containers; pause the cyclic GC for the duration.
+    with paused_gc():
         return _recover(Path(data_dir), strategy)
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def _recover(data_dir: Path, strategy: str | None) -> RecoveryResult:
