@@ -52,7 +52,11 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.cluster import Cluster  # noqa: E402
 from repro.graph.datasets import DATASETS  # noqa: E402
-from repro.service import ServeConfig, drive_mixed  # noqa: E402
+from repro.service import (  # noqa: E402
+    DurabilityConfig,
+    ServeConfig,
+    drive_mixed,
+)
 from repro.workloads.updates import mixed_update_stream  # noqa: E402
 
 SCHEMA_VERSION = 1
@@ -75,9 +79,11 @@ def _config(data_dir: str, batch_size: int) -> ServeConfig:
     # the replicas are verified, and a stop-checkpoint prunes WAL
     # segments out from under still-catching-up tailers (forcing a
     # resync that discards the digest ledger the gate needs).
-    return ServeConfig.from_kwargs(
-        data_dir=data_dir, batch_size=batch_size,
-        checkpoint_on_stop=False,
+    return ServeConfig(
+        batch_size=batch_size,
+        durability=DurabilityConfig(
+            data_dir=data_dir, checkpoint_on_stop=False,
+        ),
     )
 
 

@@ -20,10 +20,11 @@ Commands
   engine flags are generated from the :class:`ServeConfig` dataclasses
   and a whole config loads from ``--config FILE`` (JSON);
 * ``cluster serve <edgelist>`` — sharded replica serving: a durable
-  primary plus ``--replicas`` reader processes, each tailing the
-  primary's WAL and answering queries from its own replica of the
-  counter through a load-balancing router; every replica-published
-  epoch is digest-verified bit-identical to the primary;
+  primary plus ``--replicas`` replica processes, each tailing the
+  primary's WAL into its own replica of the counter and publishing its
+  labels as a memory-mapped image that routed queries read in place;
+  every replica-published epoch is digest-verified bit-identical to the
+  primary;
 * ``cluster status <data_dir>`` — offline view of a primary's
   durability directory as a replica bootstrap source;
 * ``recover <data_dir>`` — reconstruct a counter from a durability

@@ -1,21 +1,34 @@
-"""In-process handle to one replica: the pipe side of the QueryAPI.
+"""In-process handle to one replica: mapped reads plus a control pipe.
 
-A :class:`ReplicaClient` owns the parent end of a replica process's
-pipe and implements :class:`repro.service.QueryAPI` over it, so any
-code written against the protocol — ``drive_mixed`` readers, the
-benchmarks, the monitor — can query a replica process exactly as it
-queries a local :class:`~repro.service.Snapshot`.
+A :class:`ReplicaClient` implements :class:`repro.service.QueryAPI`
+over one replica process, so any code written against the protocol —
+``drive_mixed`` readers, the benchmarks, the monitor — can query a
+replica exactly as it queries a local :class:`~repro.service.Snapshot`.
 
-Failure model: one bad interaction condemns the connection.  A timeout
+Reads never cross the process boundary.  The replica publishes each
+epoch's packed labels into a memory-mapped image
+(:mod:`repro.cluster.image`) and the client joins the mapped words in
+the caller's thread: a routed ``sccnt`` costs the reader ~10 µs of CPU
+where a pipe round trip cost ~31 µs of CPU and ~50 µs of wall time.
+The pipe carries only the control RPCs: ``status`` (and ``epoch``),
+``digests``, ``state_bytes`` and ``stop``.
+
+Failure model: one bad interaction condemns the client.  A pipe timeout
 or a broken pipe leaves the request/response stream unsynchronized (a
-late reply would be attributed to the wrong request), so the client
-latches ``FAILED`` — the engine's own health vocabulary — and every
-later call raises :class:`~repro.errors.ReplicaUnavailableError`
-immediately.  The router treats a failed client as out of rotation.
+late reply would be attributed to the wrong request); a replica process
+that has exited serves nothing.  Either latches ``FAILED`` — the
+engine's own health vocabulary — and every later call raises
+:class:`~repro.errors.ReplicaUnavailableError` immediately.  Each read
+checks the process's sentinel without blocking, so a dead replica is
+out of rotation on its next read.  The router treats a failed client
+as out of rotation.
 """
 
 from __future__ import annotations
 
+import os
+import select
+import time
 from collections.abc import Sequence
 
 import repro.errors as _errors
@@ -24,12 +37,17 @@ from repro.errors import ClusterError, ReplicaUnavailableError, ReproError
 from repro.service.health import FAILED, HEALTHY
 from repro.types import CycleCount, PathCount
 
+from repro.cluster.image import ImageEpoch, ImageReader, remove_image
+
 __all__ = ["ReplicaClient"]
+
+#: seconds between looks at an image that is not published yet
+_IMAGE_POLL = 0.002
 
 
 def _rebuild_error(name: str, message: str) -> Exception:
     """Re-raise a replica-side error under its own type when it is part
-    of the :mod:`repro.errors` taxonomy (so ``except VertexError:``
+    of the :mod:`repro.errors` taxonomy (so ``except ReproError:``
     works across the process boundary), else as a ClusterError."""
     cls = getattr(_errors, name, None)
     if isinstance(cls, type) and issubclass(cls, ReproError):
@@ -40,18 +58,23 @@ def _rebuild_error(name: str, message: str) -> Exception:
 
 
 class ReplicaClient:
-    """One replica process, spoken to over its pipe (thread-safe).
+    """One replica process: reads from its mapped image, control RPCs
+    over its pipe (thread-safe).
 
     Implements :class:`repro.service.QueryAPI`; ``epoch`` is one
     ``status`` round-trip.  Lock rank 6 sits below every engine lock:
-    a reader thread holding this lock never calls into the engine, and
-    the router (rank 5) may pick under its own lock before calling here.
+    a thread holding this lock never calls into the engine, and the
+    router (rank 5) may pick under its own lock before calling here.
+    Reads take no lock.
     """
 
-    def __init__(self, conn, process, name: str,
+    def __init__(self, conn, process, name: str, image_path: str,
                  timeout: float = 30.0) -> None:
         self._conn = conn
         self._process = process
+        self._sentinel = (process.sentinel,)
+        self._pid = process.pid
+        self._image = ImageReader(image_path)
         self.name = name
         self._timeout = timeout
         self._lock = lockdep.make_lock(
@@ -76,11 +99,54 @@ class ReplicaClient:
             err.__cause__ = cause
         return err
 
+    def _exited(self) -> bool:
+        """Whether the replica process has ended: a non-blocking poll of
+        its sentinel.  A forkserver child's sentinel carries its exit
+        status, and a ``join()`` elsewhere reads it some microseconds
+        before the server closes the pipe; in that window a signal-0
+        probe of the (already reaped) pid tells instead."""
+        if select.select(self._sentinel, (), (), 0)[0]:
+            return True
+        try:
+            os.kill(self._pid, 0)
+        except ProcessLookupError:
+            return True
+        return False
+
+    def _release(self) -> None:
+        """Unmap the image and delete its file (the replica cannot when
+        it was killed)."""
+        self._image.close()
+        remove_image(self._image.path)
+
+    def _read(self) -> ImageEpoch:
+        """The replica's published epoch; waits out a (re-)bootstrap up
+        to the timeout."""
+        deadline = None
+        while True:
+            if self._health == FAILED:
+                raise ReplicaUnavailableError(
+                    f"replica {self.name}: already failed"
+                )
+            if self._exited():
+                self._release()
+                raise self._fail("process exited")
+            epoch = self._image.current()
+            if epoch is not None:
+                return epoch
+            if deadline is None:
+                deadline = time.monotonic() + self._timeout
+            elif time.monotonic() > deadline:
+                raise self._fail(
+                    f"no image published within {self._timeout}s"
+                )
+            time.sleep(_IMAGE_POLL)
+
     def _call(self, *request):
         with self._lock:
             if self._health == FAILED:
                 raise ReplicaUnavailableError(
-                    f"replica {self.name}: connection already failed"
+                    f"replica {self.name}: already failed"
                 )
             try:
                 self._conn.send(request)
@@ -104,21 +170,21 @@ class ReplicaClient:
         return self._call("status")["epoch"]
 
     def sccnt(self, v: int) -> CycleCount:
-        return self._call("sccnt", v)
+        return self._read().sccnt(v)
 
     def sccnt_many(self, vertices: Sequence[int]) -> list[CycleCount]:
-        return self._call("sccnt_many", list(vertices))
+        return self._read().sccnt_many(vertices)
 
     def spcnt(self, x: int, y: int) -> PathCount:
-        return self._call("spcnt", x, y)
+        return self._read().spcnt(x, y)
 
     def spcnt_many(
         self, pairs: Sequence[tuple[int, int]]
     ) -> list[PathCount]:
-        return self._call("spcnt_many", list(pairs))
+        return self._read().spcnt_many(pairs)
 
     def top_suspicious(self, k: int = 10) -> list[tuple[int, CycleCount]]:
-        return self._call("top_suspicious", k)
+        return self._read().top_suspicious(k)
 
     # ------------------------------------------------------------------
     # Cluster management surface
@@ -150,6 +216,7 @@ class ReplicaClient:
         if self._process.is_alive():  # pragma: no cover - defensive
             self._process.terminate()
             self._process.join(timeout)
+        self._release()
         try:
             self._conn.close()
         except OSError:  # pragma: no cover - defensive

@@ -8,10 +8,11 @@ Topology (one process per box)::
                  WalTailer      WalTailer       WalTailer
                  replica 0      replica 1       replica 2     (processes)
                       │              │              │
-                   snapshot       snapshot       snapshot
+                 label image    label image    label image   (mapped files)
                       └──────┬───────┴──────┬───────┘
                              ▼              ▼
                         ClusterRouter.sccnt / spcnt / ...
+                        (joins in the reader's process)
 
 The WAL **is** the replication transport: the primary's
 log-before-publish discipline (PR 4) means the log is a complete,
@@ -20,6 +21,13 @@ no second channel — they bootstrap from the newest checkpoint via
 :func:`repro.persist.recover` (RPLS per-vertex bytes, one memcpy per
 vertex) and stream the suffix with a
 :class:`~repro.persist.WalTailer`.
+
+Reads: each replica publishes every epoch's packed labels into a
+memory-mapped image before it reports the epoch, and its
+:class:`ReplicaClient` answers ``sccnt``/``spcnt``/... by joining the
+mapped words in the reader's process (:mod:`repro.cluster.image`), so a
+routed read makes no round trip.  The pipe to each replica carries only
+control RPCs (``status``, ``digests``, ``state_bytes``, ``stop``).
 
 Consistency: every replica epoch is bit-identical to the primary's
 state at that epoch (deterministic batched maintenance over identical
@@ -47,6 +55,7 @@ from repro.service.engine import ServeEngine
 from repro.service.snapshot import Snapshot
 
 from repro.cluster.client import ReplicaClient
+from repro.cluster.image import new_image_path
 from repro.cluster.replica import replica_main
 from repro.cluster.router import ClusterRouter
 
@@ -88,14 +97,15 @@ class Cluster:
         replication transport, so a memory-only engine has nothing to
         replicate from.
     replicas:
-        Reader processes to launch at :meth:`start`.
+        Replica processes to launch at :meth:`start`.
     record_digests:
         Keep per-epoch SHA-256 digests of the counter bytes on the
         primary *and* every replica, enabling
         :meth:`verify_replicas`.  Costs one serialization pass per
         published epoch — leave off for throughput measurement runs.
     replica_timeout:
-        Per-RPC timeout for replica clients.
+        Per-RPC timeout for replica clients, and how long a read waits
+        for a replica's first (or re-bootstrapped) image.
     monitor:
         Optional :class:`~repro.monitor.CycleMonitor` for the primary.
     """
@@ -159,10 +169,11 @@ class Cluster:
         ctx = _context()
         try:
             for i in range(self._replicas):
+                image = new_image_path(str(i))
                 parent, child = ctx.Pipe()
                 proc = ctx.Process(
                     target=replica_main,
-                    args=(child, str(data_dir)),
+                    args=(child, str(data_dir), image),
                     kwargs={"record_digests": self._record_digests},
                     name=f"repro-replica-{i}",
                     daemon=True,
@@ -174,6 +185,7 @@ class Cluster:
                         parent,
                         proc,
                         f"replica-{i}",
+                        image,
                         timeout=self._replica_timeout,
                     )
                 )
@@ -189,8 +201,8 @@ class Cluster:
 
     def stop(self) -> None:
         """Stop replicas first (they must not tail the shutdown
-        checkpoint's segment prune mid-poll), then the primary.
-        Idempotent."""
+        checkpoint's segment prune mid-poll), then the primary.  Every
+        replica's image file is deleted.  Idempotent."""
         if self._stopped:
             return
         self._stopped = True

@@ -1,6 +1,6 @@
 """The replica process: checkpoint bootstrap + WAL-suffix streaming.
 
-``replica_main`` is the entry point of one reader process in the
+``replica_main`` is the entry point of one replica process in the
 cluster.  It reconstructs the primary's state by exactly the crash
 recovery path (:func:`repro.persist.recover` — newest checkpoint chain
 plus acknowledged WAL suffix, bit-identical to a serial replay, with
@@ -27,27 +27,31 @@ Failure semantics mirror recovery:
   :class:`~repro.errors.WalTailGapError` after a prune outran the
   tailer, or a :class:`~repro.errors.WalRolledBackError`).
 
-The process runs two threads, so no read waits behind a write:
+The process runs two threads, so no control RPC waits behind a write:
 
 * the **apply thread** is the only code that polls the tailer (every
-  ``_IDLE_POLL`` when idle), mutates the counter, takes snapshots or
-  re-bootstraps.  After each record it publishes one immutable
-  :class:`_Published` — the snapshot with its ``ops_applied`` and
-  ``last_seq`` — by a single assignment, so an epoch is never reported
-  before its snapshot (and digest) exist.  A re-bootstrap first
-  withdraws the published view, so the diverged snapshot stops being
-  served before recovery starts, and publishes again only once the new
-  state is complete;
-* the **query thread** blocks on the pipe and answers each request
-  from the published view, taking no lock: a
-  :class:`~repro.service.Snapshot` never reads the live counter, so a
-  long rebuild in ``apply_batch`` costs freshness, not latency.  While
-  no view is published (a re-bootstrap) queries wait for the next one.
-  The state RPCs ``state_bytes`` and ``digests`` read live apply-thread
-  state, so they and each record's apply hold one lock.  The query
-  thread also notices a dead apply thread within ``_LIVENESS_POLL`` and
-  ends ``replica_main`` with its exception; ``stop`` joins the apply
-  thread before it replies.
+  ``_IDLE_POLL`` when idle), mutates the counter, takes snapshots,
+  publishes label images or re-bootstraps.  After each record it
+  publishes the new snapshot's labels into the replica's memory-mapped
+  image (:class:`~repro.cluster.image.ImageWriter`), which the client
+  reads in its own process, and only then one immutable
+  :class:`_Published` — the snapshot's epoch with its ``ops_applied``
+  and ``last_seq`` — by a single assignment.  So an epoch is never reported
+  before its image, snapshot and digest exist: once ``status`` says
+  epoch ``e``, every read answers at ``e`` or later.  A re-bootstrap
+  first withdraws the image and the published view, so the diverged
+  state stops being served before recovery starts, and publishes again
+  only once the new state is complete;
+* the **pipe thread** answers the control RPCs (``status``, ``digests``,
+  ``state_bytes``, ``stop``); queries never reach it.  ``status`` reads
+  the published view and takes no lock, so a long rebuild in
+  ``apply_batch`` does not delay it; while no view is published (a
+  re-bootstrap) it waits for the next one.  ``state_bytes`` and
+  ``digests`` read live apply-thread state, so they and each record's
+  apply hold one lock.  The pipe thread also notices a dead apply
+  thread within ``_LIVENESS_POLL`` and ends ``replica_main`` with its
+  exception; ``stop`` joins the apply thread before it replies.  The
+  image file is deleted when ``replica_main`` returns.
 """
 
 from __future__ import annotations
@@ -69,19 +73,16 @@ from repro.errors import (
 from repro.persist.recovery import WAL_DIR, recover
 from repro.persist.tail import WalTailer
 from repro.persist.wal import ABORT, BATCH
-from repro.service.snapshot import Snapshot
+
+from repro.cluster.image import ImageWriter
 
 __all__ = ["replica_main"]
 
 #: seconds the idle apply thread sleeps between tail polls
 _IDLE_POLL = 0.002
-#: seconds the query thread blocks on the pipe before it checks that
+#: seconds the pipe thread blocks on the pipe before it checks that
 #: the apply thread is still alive
 _LIVENESS_POLL = 0.05
-#: the read-only Snapshot methods served by name
-_QUERIES = frozenset(
-    {"sccnt", "sccnt_many", "spcnt", "spcnt_many", "top_suspicious"}
-)
 #: bootstrap attempts (recovery can race a concurrent checkpoint/prune)
 _BOOTSTRAP_TRIES = 5
 
@@ -91,9 +92,9 @@ def _digest(counter) -> str:
 
 
 class _Published(NamedTuple):
-    """What the query thread serves; replaced whole, never mutated."""
+    """What ``status`` reports; replaced whole, never mutated."""
 
-    snapshot: Snapshot
+    epoch: int
     ops_applied: int
     last_seq: int
 
@@ -134,24 +135,38 @@ class _ReplicaState:
             self.digests[self.epoch] = _digest(self.counter)
 
     def published(self, last_seq: int) -> _Published:
-        return _Published(self.snapshot, self.ops_applied, last_seq)
+        return _Published(self.snapshot.epoch, self.ops_applied, last_seq)
 
 
 def replica_main(
     conn,
     data_dir: str,
+    image_path: str,
     strategy: str | None = None,
     record_digests: bool = False,
 ) -> None:
-    """Serve queries over ``conn`` from a tailed replica of ``data_dir``.
+    """Follow ``data_dir`` as a replica: publish each epoch's labels
+    into the image at ``image_path`` and answer control RPCs on
+    ``conn``.
 
     Runs until a ``("stop",)`` request or EOF on the pipe.  Requests are
     tuples ``(method, *args)``; responses are ``("ok", value)`` or
     ``("err", type_name, message)``.
     """
     data_dir = Path(data_dir)
+    image = ImageWriter(image_path)
+    try:
+        _serve(conn, data_dir, image, strategy, record_digests)
+    finally:
+        image.close()
+        conn.close()
+
+
+def _serve(conn, data_dir: Path, image: ImageWriter,
+           strategy: str | None, record_digests: bool) -> None:
     state = _ReplicaState(data_dir, strategy, record_digests)
-    #: the query thread's only view of the apply thread's progress;
+    image.publish(state.snapshot)
+    #: the pipe thread's only view of the apply thread's progress;
     #: ``None`` while a re-bootstrap builds the next state
     view: _Published | None = state.published(state.tailer.last_seq)
     state_lock = threading.Lock()
@@ -162,13 +177,23 @@ def replica_main(
     records_skipped = 0
 
     # -- apply thread ----------------------------------------------------
+    def publish(last_seq: int) -> None:
+        nonlocal view
+        # Drop the interpreter lock between the apply and the image
+        # append, so a status request that arrived during the apply
+        # waits for one of them, not for both.
+        time.sleep(0)
+        image.publish(state.snapshot)
+        view = state.published(last_seq)
+
     def rebootstrap() -> None:
         nonlocal state, view, resyncs
+        image.withdraw()
         view = None
         with state_lock:
             state = _ReplicaState(data_dir, strategy, record_digests)
         resyncs += 1
-        view = state.published(state.tailer.last_seq)
+        publish(state.tailer.last_seq)
 
     def apply(record) -> None:
         nonlocal records_applied, records_skipped
@@ -194,7 +219,6 @@ def replica_main(
 
     def drain_tail() -> bool:
         """Apply what the tailer has; ``False`` when it had nothing."""
-        nonlocal view
         try:
             records = state.tailer.poll()
         except (WalTailGapError, WalRolledBackError):
@@ -214,7 +238,7 @@ def replica_main(
                 apply(record)
             # An ABORT of a record we also skipped (or a future kind)
             # only advances the cursor.
-            view = state.published(record.seq)
+            publish(record.seq)
         return bool(records)
 
     def apply_loop() -> None:
@@ -222,14 +246,14 @@ def replica_main(
             while not stopping.is_set():
                 if not drain_tail():
                     stopping.wait(_IDLE_POLL)
-        except BaseException as exc:  # noqa: BLE001 - re-raised by queries
+        except BaseException as exc:  # noqa: BLE001 - pipe thread re-raises
             failure.append(exc)
 
     applier = threading.Thread(
         target=apply_loop, name="repro-replica-apply", daemon=True
     )
 
-    # -- query thread ----------------------------------------------------
+    # -- pipe thread -----------------------------------------------------
     def halt() -> None:
         stopping.set()
         applier.join()
@@ -247,7 +271,7 @@ def replica_main(
 
     def status(published: _Published) -> dict:
         return {
-            "epoch": published.snapshot.epoch,
+            "epoch": published.epoch,
             "last_seq": published.last_seq,
             "ops_applied": published.ops_applied,
             "records_applied": records_applied,
@@ -256,12 +280,10 @@ def replica_main(
             "pid": os.getpid(),
         }
 
-    def answer(method: str, args: list) -> tuple:
+    def answer(method: str) -> tuple:
         published = current()
         try:
-            if method in _QUERIES:
-                value = getattr(published.snapshot, method)(*args)
-            elif method == "status":
+            if method == "status":
                 value = status(published)
             elif method == "digests":
                 with state_lock:
@@ -283,16 +305,15 @@ def replica_main(
                 raise failure[0]
             if not conn.poll(_LIVENESS_POLL):
                 continue
-            method, *args = conn.recv()
+            method = conn.recv()[0]
             if method == "stop":
                 halt()
                 if failure:
                     raise failure[0]
                 conn.send(("ok", status(current())))
                 break
-            conn.send(answer(method, args))
+            conn.send(answer(method))
     except (EOFError, OSError, KeyboardInterrupt):
         pass  # parent went away: exit quietly
     finally:
         halt()
-        conn.close()

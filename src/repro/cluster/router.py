@@ -11,8 +11,9 @@ as fresh as.  Each replica's epoch is monotone and replicas only ever
 ``drive_mixed`` readers assert).
 
 Locking: the router's own lock (rank 5, below every engine and client
-lock) guards only the rotation cursor; it is **never held across an
-RPC** — a slow replica must not serialize the other readers.
+lock) guards only the rotation cursor; it is **never held across a
+read or an RPC** — a slow replica must not serialize the other
+readers.
 """
 
 from __future__ import annotations

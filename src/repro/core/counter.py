@@ -35,7 +35,7 @@ from repro.core.maintenance import (
 )
 from repro.graph.digraph import DiGraph
 from repro.graph.io import graph_from_bytes, graph_to_bytes
-from repro.types import CycleCount, PathCount
+from repro.types import CycleCount, PathCount, top_by_cycles
 
 from repro.errors import ConfigurationError, VertexError
 
@@ -145,9 +145,10 @@ class ShortestCycleCounter:
         """The ``k`` vertices with the most shortest cycles (ties broken by
         shorter cycle length, then id) — the paper's fraud pre-screening
         criterion (Application 1, Figure 13)."""
-        scored = [(v, self._index.sccnt(v)) for v in self.graph.vertices()]
-        scored.sort(key=lambda item: (-item[1].count, item[1].length, item[0]))
-        return scored[:k]
+        sccnt = self._index.sccnt
+        return top_by_cycles(
+            [(v, sccnt(v)) for v in self.graph.vertices()], k
+        )
 
     # ------------------------------------------------------------------
     # Updates

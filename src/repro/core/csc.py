@@ -58,10 +58,33 @@ from repro.labeling.labelstore import (
 from repro.labeling.ordering import degree_order, positions, validate_order
 from repro.types import NO_CYCLE, NO_PATH, CycleCount, PathCount
 
-__all__ = ["CSCIndex"]
+__all__ = ["CSCIndex", "checked_pairs", "checked_vertices"]
 
 _INDEX_MAGIC = b"RPCI"
 _INDEX_VERSION = 1
+
+
+def checked_vertices(vertices: Sequence[int], n: int) -> list[int]:
+    """A query batch's ids as ints (``operator.index`` coercion), or one
+    :class:`~repro.errors.BatchVertexError` naming every out-of-range
+    ``(position, id)``."""
+    vs = [_as_int(v) for v in vertices]
+    bad = [(i, v) for i, v in enumerate(vs) if not 0 <= v < n]
+    if bad:
+        raise BatchVertexError(bad, n)
+    return vs
+
+
+def checked_pairs(
+    pairs: Sequence[tuple[int, int]], n: int
+) -> list[tuple[int, int]]:
+    """:func:`checked_vertices` for a batch of ``(x, y)`` pairs."""
+    ps = [(_as_int(x), _as_int(y)) for x, y in pairs]
+    bad = [(i, v) for i, xy in enumerate(ps) for v in xy if not 0 <= v < n]
+    if bad:
+        raise BatchVertexError(bad, n)
+    return ps
+
 
 class CSCIndex:
     """The CSC shortest-cycle-counting index over a dynamic directed graph.
@@ -311,11 +334,7 @@ class CSCIndex:
         :meth:`sccnt`: SCCnt is a pure function of the id, and batched
         serving traffic repeats hot vertices.
         """
-        n = len(self.store_in)
-        vs = [_as_int(v) for v in vertices]
-        bad = [(i, v) for i, v in enumerate(vs) if not 0 <= v < n]
-        if bad:
-            raise BatchVertexError(bad, n)
+        vs = checked_vertices(vertices, len(self.store_in))
         sccnt = self.sccnt
         memo = {v: sccnt(v) for v in dict.fromkeys(vs)}
         return [memo[v] for v in vs]
@@ -325,13 +344,7 @@ class CSCIndex:
     ) -> list[PathCount]:
         """Batched :meth:`spcnt` over ``(x, y)`` pairs — same contract
         as :meth:`sccnt_many`, deduplicated per pair."""
-        n = len(self.store_in)
-        ps = [(_as_int(x), _as_int(y)) for x, y in pairs]
-        bad = [
-            (i, v) for i, xy in enumerate(ps) for v in xy if not 0 <= v < n
-        ]
-        if bad:
-            raise BatchVertexError(bad, n)
+        ps = checked_pairs(pairs, len(self.store_in))
         spcnt = self.spcnt
         memo = {p: spcnt(*p) for p in dict.fromkeys(ps)}
         return [memo[p] for p in ps]

@@ -104,6 +104,8 @@ __all__ = [
     "join_min_dist",
     "join_bydist_min_count",
     "join_bydist_min_dist",
+    "join_words_min_count",
+    "join_words_path",
 ]
 
 #: Sentinel distance for "not reached"; larger than any real distance.
@@ -918,6 +920,106 @@ def join_min_dist(
             if d < best:
                 best = d
     return best
+
+
+# ---------------------------------------------------------------------------
+# Word kernels: joins straight over packed words
+# ---------------------------------------------------------------------------
+#
+# Readers that hold only the packed words — a memory-mapped label image
+# (:mod:`repro.cluster.image`), no accelerators — join two sides given
+# as hub-sorted lists of words plus each side's overflow table (``big``,
+# ``None`` when no count saturates).  The larger side becomes a
+# ``{hub: word}`` dict built at C speed and the smaller side probes it,
+# the same iterate-small/probe-large shape as :func:`join_min_count`.
+# Building that dict per query makes a word join ~3x slower than the
+# resident-accelerator join (screen graph: ~7 µs against ~2.3 µs per
+# ``sccnt``), which is the price of reading labels no process keeps
+# accelerators for.  Variants that intersect hub sets first, bisect the
+# sorted words, or store sides distance-sorted for an early exit
+# measured no faster.
+
+#: ``word -> hub``, a C-level callable for ``map``.
+_hub_of = HUB_SHIFT.__rrshift__
+
+
+def _saturated(word: int, big: dict[int, int] | None) -> int:
+    """The exact count of a word whose count field saturated."""
+    if not big:
+        return COUNT_SATURATED
+    return big.get(word >> HUB_SHIFT, COUNT_SATURATED)
+
+
+def join_words_min_count(
+    words_a: list[int], words_b: list[int],
+    big_a: dict[int, int] | None, big_b: dict[int, int] | None,
+) -> tuple[int, int]:
+    """:func:`join_min_count` over two sides' packed words:
+    ``(distance, count)``, ``distance == UNREACHED`` when no hub is
+    shared."""
+    if len(words_a) > len(words_b):
+        words_a, words_b = words_b, words_a
+        big_a, big_b = big_b, big_a
+    get = dict(zip(map(_hub_of, words_b), words_b)).get
+    best = UNREACHED
+    total = 0
+    for wa in words_a:
+        wb = get(wa >> HUB_SHIFT)
+        if wb is not None:
+            d = ((wa >> COUNT_BITS & _DIST_MASK)
+                 + (wb >> COUNT_BITS & _DIST_MASK))
+            if d <= best:
+                ca = wa & _COUNT_MASK
+                if ca == COUNT_SATURATED:
+                    ca = _saturated(wa, big_a)
+                cb = wb & _COUNT_MASK
+                if cb == COUNT_SATURATED:
+                    cb = _saturated(wb, big_b)
+                c = ca * cb
+                if d < best:
+                    best = d
+                    total = c
+                else:
+                    total += c
+    return best, total
+
+
+def join_words_path(
+    words_out: list[int], words_in: list[int], own: int,
+    big_out: dict[int, int] | None, big_in: dict[int, int] | None,
+) -> tuple[int, int]:
+    """``SPCnt_Gb(x_in, y_in)`` over packed words, as
+    :meth:`repro.core.csc.CSCIndex.spcnt` computes it from the hub maps:
+    ``words_in`` is ``Lin(y_in)``, ``words_out`` is ``Lout(x_out)``
+    shifted by the couple edge, and hub ``own`` (``x_in``'s rank) is met
+    at derived distance 0 with count 1."""
+    get = dict(zip(map(_hub_of, words_out), words_out)).get
+    best = UNREACHED
+    total = 0
+    for wb in words_in:
+        hub = wb >> HUB_SHIFT
+        d = wb >> COUNT_BITS & _DIST_MASK
+        if hub == own:
+            c = 1
+        else:
+            wa = get(hub)
+            if wa is None:
+                continue
+            d += (wa >> COUNT_BITS & _DIST_MASK) + 1
+            c = wa & _COUNT_MASK
+            if c == COUNT_SATURATED:
+                c = _saturated(wa, big_out)
+        if d <= best:
+            cb = wb & _COUNT_MASK
+            if cb == COUNT_SATURATED:
+                cb = _saturated(wb, big_in)
+            c *= cb
+            if d < best:
+                best = d
+                total = c
+            else:
+                total += c
+    return best, total
 
 
 # ---------------------------------------------------------------------------

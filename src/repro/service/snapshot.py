@@ -15,7 +15,7 @@ from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
 from repro.errors import VertexError
-from repro.types import CycleCount, PathCount
+from repro.types import CycleCount, PathCount, top_by_cycles
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.counter import ShortestCycleCounter
@@ -108,9 +108,7 @@ class Snapshot:
         """The ``k`` most-cycled vertices at the captured state (same
         tie-breaking as :meth:`ShortestCycleCounter.top_suspicious`)."""
         sccnt = self.index.sccnt
-        scored = [(v, sccnt(v)) for v in range(self.n)]
-        scored.sort(key=lambda item: (-item[1].count, item[1].length, item[0]))
-        return scored[:k]
+        return top_by_cycles([(v, sccnt(v)) for v in range(self.n)], k)
 
     def __repr__(self) -> str:
         return (

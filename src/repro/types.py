@@ -27,6 +27,17 @@ class CycleCount(NamedTuple):
 NO_CYCLE = CycleCount(0, float("inf"))
 
 
+def top_by_cycles(
+    scored: list[tuple[int, CycleCount]], k: int
+) -> list[tuple[int, CycleCount]]:
+    """The ``k`` most-cycled of ``(vertex, SCCnt)`` pairs: most shortest
+    cycles first, ties broken by shorter cycle length, then by id (the
+    paper's fraud pre-screening order, Application 1).  Sorts
+    ``scored`` in place."""
+    scored.sort(key=lambda item: (-item[1].count, item[1].length, item[0]))
+    return scored[:k]
+
+
 class PathCount(NamedTuple):
     """Result of an ``SPCnt`` pair query (:meth:`CSCIndex.spcnt`).
 

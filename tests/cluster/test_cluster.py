@@ -10,6 +10,7 @@ re-bootstrap from the primary's durable truth rather than keep serving
 a state the primary never had.
 """
 
+import glob
 import os
 import random
 import signal
@@ -18,20 +19,25 @@ import time
 
 import pytest
 
-from repro.cluster import Cluster
+from repro.cluster import Cluster, ReplicaClient
+from repro.cluster.image import ImageReader, ImageWriter, new_image_path
 from repro.cluster.replica import replica_main
 from repro.core.counter import ShortestCycleCounter
 from repro.errors import (
+    BatchVertexError,
     ClusterError,
     ConfigurationError,
     NoReplicaAvailableError,
     ReplicaUnavailableError,
+    VertexError,
 )
 from repro.graph.digraph import DiGraph
 from repro.persist import WriteAheadLog, recover
 from repro.persist.recovery import WAL_DIR
-from repro.service import ServeConfig, ServeEngine
+from repro.service import DurabilityConfig, ServeConfig, ServeEngine
 from repro.workloads.updates import mixed_update_stream
+
+from tests.test_large_counts import diamond_chain
 
 pytestmark = pytest.mark.persist
 
@@ -46,9 +52,11 @@ def make_graph(seed=0, n=14, m=36):
     return g
 
 
-def cluster_config(data_dir, **flat):
-    flat.setdefault("batch_size", 4)
-    return ServeConfig.from_kwargs(data_dir=str(data_dir), **flat)
+def cluster_config(data_dir, batch_size=4, **durability):
+    return ServeConfig(
+        batch_size=batch_size,
+        durability=DurabilityConfig(data_dir=str(data_dir), **durability),
+    )
 
 
 class TestClusterBasics:
@@ -123,6 +131,9 @@ class TestClusterBasics:
             # Direct calls to the failed client raise the typed error.
             with pytest.raises(ReplicaUnavailableError):
                 victim.sccnt(0)
+            # The killed replica could not delete its image; its client
+            # did, on the read that found it dead.
+            assert not os.path.exists(victim._image.path)
             # Kill the survivor: the router has nowhere left to route.
             survivor = cluster.router.live()[0]
             survivor._process.terminate()
@@ -132,6 +143,7 @@ class TestClusterBasics:
                     cluster.router.sccnt(0)
             with pytest.raises(NoReplicaAvailableError):
                 cluster.router.epoch
+            assert not os.path.exists(survivor._image.path)
 
     def test_start_twice_and_stop_idempotent(self, tmp_path):
         cluster = Cluster(
@@ -152,6 +164,115 @@ class TestClusterBasics:
             cluster.router
 
 
+def leftover_images():
+    """Image files this test process's clusters left behind."""
+    base = os.path.dirname(new_image_path("probe"))
+    return glob.glob(os.path.join(base, f"repro-image-{os.getpid()}-*"))
+
+
+class TestRoutedReads:
+    """Routed reads are joins over each replica's mapped label image."""
+
+    @pytest.mark.parametrize("saturated", [False, True],
+                             ids=["random", "saturated"])
+    def test_routed_answers_equal_the_primary_at_every_epoch(
+        self, tmp_path, saturated
+    ):
+        """Over 22 epoch flips of a seeded mixed stream — one of them a
+        deletion batch bound for the rebuild fallback — all five routed
+        reads equal the primary's snapshot of the same epoch."""
+        if saturated:
+            graph, s, t = diamond_chain(26)
+            graph.add_edge(t, s)
+        else:
+            graph = make_graph(seed=13, n=20, m=60)
+        n = graph.n
+        cluster = Cluster(
+            graph, cluster_config(tmp_path, batch_size=64),
+            replicas=1, record_digests=False,
+        )
+        rng = random.Random(5)
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(200)]
+        with cluster:
+            router = cluster.router
+            for flip in range(22):
+                if flip == 11:
+                    edges = sorted(cluster.engine.counter.graph.edges())
+                    ops = [("delete", a, b) for a, b in edges[::3]]
+                elif flip:
+                    ops = mixed_update_stream(
+                        cluster.engine.counter.graph, 3, flip
+                    )
+                else:
+                    ops = []
+                cluster.submit_many(ops)
+                snap = cluster.flush()
+                cluster.wait_for_epoch(snap.epoch)
+                assert router.sccnt_many(range(n)) == snap.sccnt_many(
+                    range(n)
+                )
+                assert [router.sccnt(v) for v in range(n)] == [
+                    snap.sccnt(v) for v in range(n)
+                ]
+                assert [router.spcnt(x, y) for x, y in pairs] == [
+                    snap.spcnt(x, y) for x, y in pairs
+                ]
+                assert router.spcnt_many(pairs) == snap.spcnt_many(pairs)
+                assert router.top_suspicious(5) == snap.top_suspicious(5)
+                if saturated and flip == 0:
+                    assert router.sccnt(s) == (2**26, 2 * 26 + 1)
+            assert cluster.engine.stats().rebuilds >= 1
+            for bad in (-1, n):
+                with pytest.raises(VertexError, match=str(bad)):
+                    router.sccnt(bad)
+                with pytest.raises(VertexError):
+                    router.spcnt(0, bad)
+            with pytest.raises(BatchVertexError) as err:
+                router.sccnt_many([0, n, 1, -1])
+            assert err.value.bad == [(1, n), (3, -1)]
+            with pytest.raises(BatchVertexError) as err:
+                router.spcnt_many([(0, 1), (n, 0)])
+            assert err.value.bad == [(1, n)]
+
+    def test_no_image_outlives_stop(self, tmp_path):
+        cluster = Cluster(
+            make_graph(), cluster_config(tmp_path), replicas=2,
+            record_digests=False,
+        )
+        with cluster:
+            cluster.wait_for_epoch(cluster.flush().epoch)
+            for v in range(4):
+                cluster.router.sccnt(v)
+            paths = [c._image.path for c in cluster.router.live()]
+            assert all(os.path.exists(p) for p in paths)
+        assert not any(os.path.exists(p) for p in paths)
+        assert leftover_images() == []
+
+    def test_no_image_outlives_a_failed_start(self, tmp_path, monkeypatch):
+        """The second replica cannot start: ``start`` raises, and the
+        first replica's image goes with the rest of the cluster."""
+        import repro.cluster.cluster as cluster_module
+
+        made = []
+
+        def second_fails(tag):
+            if made:
+                raise OSError("no room for a second replica")
+            made.append(new_image_path(tag))
+            return made[-1]
+
+        monkeypatch.setattr(cluster_module, "new_image_path", second_fails)
+        cluster = Cluster(
+            make_graph(), cluster_config(tmp_path), replicas=2,
+            record_digests=False,
+        )
+        with pytest.raises(OSError, match="no room"):
+            cluster.start()
+        assert len(made) == 1
+        assert not os.path.exists(made[0])
+        assert leftover_images() == []
+
+
 class TestDeltaChainBootstrap:
     def test_replica_bootstraps_from_mid_chain_delta(self, tmp_path):
         """A replica joining an aged directory recovers through a
@@ -163,10 +284,12 @@ class TestDeltaChainBootstrap:
         # stop checkpoint leaves a live WAL suffix to stream.
         engine = ServeEngine(
             graph,
-            config=ServeConfig.from_kwargs(
-                data_dir=str(tmp_path), batch_size=2,
-                checkpoint_wal_bytes=64, full_checkpoint_every=4,
-                checkpoint_on_stop=False,
+            config=ServeConfig(
+                batch_size=2,
+                durability=DurabilityConfig(
+                    data_dir=str(tmp_path), checkpoint_wal_bytes=64,
+                    full_checkpoint_every=4, checkpoint_on_stop=False,
+                ),
             ),
         )
         with engine:
@@ -178,9 +301,11 @@ class TestDeltaChainBootstrap:
         # past the last checkpoint, so recovery (and a replica
         # bootstrap) must replay a WAL suffix on top of the delta chain.
         engine = ServeEngine(
-            config=ServeConfig.from_kwargs(
-                data_dir=str(tmp_path), batch_size=2,
-                checkpoint_on_stop=False,
+            config=ServeConfig(
+                batch_size=2,
+                durability=DurabilityConfig(
+                    data_dir=str(tmp_path), checkpoint_on_stop=False,
+                ),
             ),
         )
         with engine:
@@ -245,11 +370,100 @@ class TestResync:
                 == cluster.engine.counter.to_bytes()
             )
 
+    def test_reads_never_see_the_diverged_image(
+        self, tmp_path, monkeypatch
+    ):
+        """A re-bootstrap withdraws the diverged image before recovery
+        starts: a read arriving meanwhile waits for the next image and
+        answers from the recovered state."""
+        import repro.cluster.replica as replica_module
+
+        recovered = seed_dir(tmp_path)
+        baseline = recovered.counter
+        n = baseline.graph.n
+        conn, thread = run_replica_in_thread(tmp_path)
+        process = ThreadProcess(thread)
+        client = ReplicaClient(conn, process, "replica-t", image_of(tmp_path))
+        reader = ImageReader(image_of(tmp_path))
+        try:
+            assert client.status()["epoch"] == recovered.epoch
+            seq = recovered.last_seq + 1
+            wal = WriteAheadLog(tmp_path / WAL_DIR)
+            wal.append_batch(seq, (("insert", 1, 11),))
+            wait_until(
+                lambda: client.status()["epoch"] == recovered.epoch + 1
+            )
+            diverged = client.spcnt(1, 11)
+            assert diverged == (1, 1)
+            assert diverged != baseline.spcnt(1, 11)
+
+            entered, release = threading.Event(), threading.Event()
+            original = replica_module.recover
+
+            def held_recover(*args, **kwargs):
+                entered.set()
+                assert release.wait(10), "recovery held for 10 s"
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(replica_module, "recover", held_recover)
+            wal.append_abort(seq)
+            wal.close()
+            assert entered.wait(10)
+            # Mid re-bootstrap: nothing is served...
+            assert reader.current() is None
+            answers = []
+            waiting = threading.Thread(
+                target=lambda: answers.append(client.spcnt(1, 11))
+            )
+            waiting.start()
+            waiting.join(0.3)
+            assert waiting.is_alive() and answers == []
+            # ...until the recovered state is published.
+            release.set()
+            waiting.join(10)
+            assert answers == [baseline.spcnt(1, 11)]
+            assert client.sccnt_many(range(n)) == baseline.sccnt_many(
+                range(n)
+            )
+            assert client.status()["resyncs"] == 1
+            assert reader.current().epoch == recovered.epoch
+        finally:
+            client.stop()
+        assert not thread.is_alive()
+        assert not os.path.exists(image_of(tmp_path))
+        os.close(process.sentinel)
+        os.close(process._keep)
+
+
+def image_of(data_dir):
+    """Where a thread-hosted replica of ``data_dir`` keeps its image."""
+    return str(data_dir / "replica.image")
+
+
+class ThreadProcess:
+    """The ``Process`` surface a :class:`ReplicaClient` uses, for a
+    replica run in a thread: its sentinel never signals an exit."""
+
+    def __init__(self, thread):
+        self._thread = thread
+        self.sentinel, self._keep = os.pipe()
+        self.pid = os.getpid()
+
+    def is_alive(self):
+        return self._thread.is_alive()
+
+    def join(self, timeout=None):
+        self._thread.join(timeout)
+
+    def terminate(self):  # pragma: no cover - the thread always stops
+        pass
+
 
 def run_replica_in_thread(data_dir, errors=None):
-    """An in-process replica (same loop, same pipe protocol) so a test
-    can interleave WAL writes with its progress deterministically.
-    With ``errors``, an exception that ends the loop is appended there."""
+    """An in-process replica (same loop, same pipe protocol, same image
+    file) so a test can interleave WAL writes with its progress
+    deterministically.  With ``errors``, an exception that ends the loop
+    is appended there."""
     import multiprocessing
 
     def run(*args, **kwargs):
@@ -263,7 +477,7 @@ def run_replica_in_thread(data_dir, errors=None):
     parent, child = multiprocessing.Pipe()
     thread = threading.Thread(
         target=run,
-        args=(child, str(data_dir)),
+        args=(child, str(data_dir), image_of(data_dir)),
         kwargs={"record_digests": True},
         daemon=True,
     )
@@ -291,9 +505,7 @@ def seed_dir(tmp_path):
     recovery, against which a hand-written next WAL record can land."""
     engine = ServeEngine(
         make_graph(seed=9),
-        config=ServeConfig.from_kwargs(
-            data_dir=str(tmp_path), batch_size=1
-        ),
+        config=cluster_config(tmp_path, batch_size=1),
     )
     with engine:
         engine.submit("insert", 0, 9)
@@ -330,6 +542,7 @@ class TestApplyThread:
     ):
         recovered = seed_dir(tmp_path)
         conn, thread = run_replica_in_thread(tmp_path)
+        reader = ImageReader(image_of(tmp_path))
         try:
             assert rpc(conn, "status")["epoch"] == recovered.epoch
             entered, release = hold(
@@ -339,9 +552,9 @@ class TestApplyThread:
                 self.append_next(tmp_path, recovered)
                 assert entered.wait(10)
                 for v in range(recovered.counter.graph.n):
-                    assert rpc(conn, "sccnt", v, timeout=1.0) == (
-                        recovered.counter.count(v)
-                    )
+                    image = reader.current()
+                    assert image.epoch == recovered.epoch
+                    assert image.sccnt(v) == recovered.counter.count(v)
                 status = rpc(conn, "status", timeout=1.0)
                 assert status["epoch"] == recovered.epoch
                 assert status["last_seq"] == recovered.last_seq
@@ -351,13 +564,50 @@ class TestApplyThread:
                 lambda: rpc(conn, "status")["epoch"]
                 == recovered.epoch + 1
             )
-            assert rpc(conn, "state_bytes") == (
-                recover(tmp_path).counter.to_bytes()
-            )
+            after = recover(tmp_path).counter
+            assert rpc(conn, "state_bytes") == after.to_bytes()
+            image = reader.current()
+            assert image.epoch == recovered.epoch + 1
+            assert image.sccnt_many(range(after.graph.n)) == [
+                after.count(v) for v in range(after.graph.n)
+            ]
         finally:
             rpc(conn, "stop")
             thread.join(10)
         assert not thread.is_alive()
+        assert not os.path.exists(image_of(tmp_path))
+
+    def test_status_epoch_never_runs_ahead_of_the_image(
+        self, tmp_path, monkeypatch
+    ):
+        """Once ``status`` reports epoch ``e``, a mapped read answers at
+        ``e`` or later: the image is published before the epoch is."""
+        recovered = seed_dir(tmp_path)
+        conn, thread = run_replica_in_thread(tmp_path)
+        reader = ImageReader(image_of(tmp_path))
+        try:
+            assert rpc(conn, "status")["epoch"] == recovered.epoch
+            entered, release = hold(monkeypatch, ImageWriter, "publish")
+            try:
+                self.append_next(tmp_path, recovered)
+                assert entered.wait(10)
+                # apply_batch has returned; only the image is held.
+                assert rpc(conn, "status", timeout=1.0)["epoch"] == (
+                    recovered.epoch
+                )
+                assert reader.current().epoch == recovered.epoch
+            finally:
+                release.set()
+            deadline = time.monotonic() + 10
+            while True:
+                epoch = rpc(conn, "status")["epoch"]
+                assert reader.current().epoch >= epoch
+                if epoch == recovered.epoch + 1:
+                    break
+                assert time.monotonic() < deadline, "epoch never moved"
+        finally:
+            rpc(conn, "stop")
+            thread.join(10)
 
     def test_epoch_is_not_published_before_its_snapshot(
         self, tmp_path, monkeypatch
@@ -428,9 +678,9 @@ class TestAbortHandling:
         skip it, no epoch drifts, no resync is needed."""
         cluster = Cluster(
             make_graph(seed=11),
-            cluster_config(
-                tmp_path, batch_size=1, on_invalid="raise",
-                on_poison="quarantine",
+            ServeConfig(
+                batch_size=1, on_invalid="raise", on_poison="quarantine",
+                durability=DurabilityConfig(data_dir=str(tmp_path)),
             ),
             replicas=1,
         )

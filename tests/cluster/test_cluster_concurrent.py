@@ -14,7 +14,7 @@ import pytest
 
 from repro.cluster import Cluster
 from repro.graph.digraph import DiGraph
-from repro.service import ServeConfig
+from repro.service import DurabilityConfig, ServeConfig
 from repro.service.driver import drive_mixed, serial_replay
 from repro.workloads.updates import mixed_update_stream
 
@@ -37,9 +37,11 @@ class TestClusteredDrive:
         initial = graph.copy()
         cluster = Cluster(
             graph,
-            ServeConfig.from_kwargs(
-                data_dir=str(tmp_path), batch_size=4,
-                checkpoint_on_stop=False,
+            ServeConfig(
+                batch_size=4,
+                durability=DurabilityConfig(
+                    data_dir=str(tmp_path), checkpoint_on_stop=False,
+                ),
             ),
             replicas=2,
         )
@@ -76,9 +78,11 @@ class TestClusteredDrive:
     def test_lag_is_bounded_and_reaches_zero(self, tmp_path):
         cluster = Cluster(
             make_graph(seed=23),
-            ServeConfig.from_kwargs(
-                data_dir=str(tmp_path), batch_size=2,
-                checkpoint_on_stop=False,
+            ServeConfig(
+                batch_size=2,
+                durability=DurabilityConfig(
+                    data_dir=str(tmp_path), checkpoint_on_stop=False,
+                ),
             ),
             replicas=2,
         )
