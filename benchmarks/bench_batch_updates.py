@@ -69,10 +69,14 @@ def test_batch_vs_per_edge(benchmark, update_pool, batch_size,
     sequential = time.perf_counter() - start
 
     def run():
-        return _run_batched(base, ops)
+        start = time.perf_counter()
+        _run_batched(base, ops)
+        return time.perf_counter() - start
 
-    benchmark.pedantic(run, rounds=1, iterations=1, warmup_rounds=0)
-    batched = benchmark.stats.stats.mean
+    # Timed inside the one round, not read off benchmark.stats, which
+    # is None under --benchmark-disable.
+    batched = benchmark.pedantic(run, rounds=1, iterations=1,
+                                 warmup_rounds=0)
     benchmark.extra_info.update(
         dataset=dataset_name,
         batch=batch_size,

@@ -29,7 +29,7 @@ __all__ = [
 #: copy-on-write bookkeeping.
 STORE_ATTRS = frozenset({
     "packed", "canon", "big", "_maps", "_bydist", "_dists",
-    "_owner", "_epoch", "_frozen",
+    "_owner", "_epoch", "_frozen", "_claimed", "_prev",
 })
 
 #: The subset that is label *data* — mutating these without ownership

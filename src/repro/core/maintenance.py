@@ -29,11 +29,18 @@ prune immediately, so they are harmless.
 
 Labels live in the packed flat-array store
 (:mod:`repro.labeling.labelstore`), so the repair passes patch 64-bit
-entries in place.  Every pruning query is a merge-join over the store's
-maintained hub maps: the hub-side map (derived once per pass) is
-iterated, and the visited vertex's map is probed at C dict speed — the
-seed instead scanned the vertex's tuple list and, per hub, rebuilt the
-hub-side dict from scratch.
+entries in place.  Every pruning query joins the hub-side map with the
+visited vertex's map, both the store's maintained hub maps.  Most
+resumed BFSes visit only their seed — on a feed where new edges end at
+accounts without out-edges, nearly all of them — so the seed's query
+intersects the two maps' keys in C and reads only the common hubs, with
+no per-hub setup.  Once the BFS expands past its seed it derives the
+shifted hub-side list once and iterates it, probing each vertex's map at
+C dict speed: there most of the hub's hubs are common to the vertex,
+so an intersection per vertex would cost more.  The canonical-flag
+distance is computed only for entries that get written, and
+UPDATE-LABEL reuses the entry of ``q`` the query already read.
+DECCNT's repair BFS iterates its hub-side canonical map the same way.
 
 Two strategies (Section V-B):
 
@@ -224,7 +231,14 @@ def _resume_bfs(
     The per-kind constants are set once, as in
     :func:`repro.build.hub_bfs`: the level step, the rank floor a
     neighbour must reach, the couple-cycle stop vertex and the
-    hub-side maps' couple shift."""
+    hub-side map's couple shift.
+
+    Most resumed BFSes never leave their seed, so the seed does no
+    per-hub setup: its pruning query intersects the hub-side map with
+    the seed's map in C and visits only the common hubs.  The hub-side
+    lists the later vertices iterate are derived only once the BFS
+    expands past the seed — there an intersection would cost more,
+    since most of a hub's hubs are common to the vertex it visits."""
     graph = index.graph
     pos = index.pos
     hub_vertex = index.order[q]
@@ -245,29 +259,66 @@ def _resume_bfs(
         if csc:
             floor = q  # q_out ranks below hub q_in, so q is admitted
             stop = hub_vertex
-    # Full and canonical hub-side maps.  Every hub of the full map ranks
-    # at or above q, so probing w's map against it covers exactly the
-    # seed's <=q label prefix scan.  The hub itself sits at distance 0;
-    # on CSC's forward side that replaces Lout(q_out)'s cycle entry.
-    full_items = [
-        (h2, dc[0] + shift)
-        for h2, dc in side.ensure_maps()[hub_vertex].items()
-        if h2 != q
-    ]
-    full_items.append((q, 0))
-    canon = _canonical_shift_map(side, hub_vertex, q, shift)
-
+    # The hub sits at distance 0 of itself; on CSC's forward side that
+    # replaces Lout(q_out)'s cycle entry, so q's own entry on the hub
+    # side is never read and the query's q term is w's entry of q.
+    hub_map = side.ensure_maps()[hub_vertex]
     target_maps = store.ensure_maps()
-    dist: dict[int, int] = {start: seed[0]}
-    cnt: dict[int, int] = {start: seed[1]}
-    queue: deque[int] = deque((start,))
+
+    # The seed (Algorithm 6 at `start`), pruned over the common hubs.
+    d_w, c_w = seed
+    stats.vertices_visited += 1
+    w_map = target_maps[start]
+    old = w_map.get(q)
+    d_query = UNREACHED if old is None else old[0]
+    common = hub_map.keys() & w_map.keys()
+    common.discard(q)
+    for h2 in common:
+        d2 = hub_map[h2][0] + shift + w_map[h2][0]
+        if d2 < d_query:
+            d_query = d2
+    if d_w > d_query:
+        return  # Case 1: not on a new shortest path
+    d_canon = UNREACHED
+    for h2 in common:
+        hd = hub_map[h2]
+        wd = w_map[h2]
+        if h2 < q and hd[2] and wd[2]:
+            d2 = hd[0] + shift + wd[0]
+            if d2 < d_canon:
+                d_canon = d2
+    _update_entry(
+        index, store, inv, start, q, d_w, c_w, d_canon, old, forward,
+        strategy, stats,
+    )
+    if start == stop:
+        return  # couple-cycle: cycle entry updated, prune
+    queue: deque[int] = deque(u for u in neighbors(start) if pos[u] >= floor)
+    if not queue:
+        return
+    d_next = d_w + step
+    dist: dict[int, int] = {start: d_w}
+    cnt: dict[int, int] = {start: c_w}
+    for u in queue:
+        dist[u] = d_next
+        cnt[u] = c_w
+
+    # Past the seed: iterate the hub side, probe each vertex's map.
+    full_items = [
+        (h2, dc[0] + shift) for h2, dc in hub_map.items() if h2 != q
+    ]
+    canon_items = [
+        (h2, dc[0] + shift) for h2, dc in hub_map.items()
+        if h2 < q and dc[2]
+    ]
     while queue:
         w = queue.popleft()
         d_w = dist[w]
         stats.vertices_visited += 1
         # Full-index pruning query (Algorithm 6).
-        d_query = UNREACHED
         get = target_maps[w].get
+        old = get(q)
+        d_query = UNREACHED if old is None else old[0]
         for h2, od in full_items:
             t = get(h2)
             if t is not None:
@@ -276,14 +327,22 @@ def _resume_bfs(
                     d_query = d2
         if d_w > d_query:
             continue  # Case 1: not on a new shortest path
+        # Canonical distance via strictly higher canonical hubs.
+        d_canon = UNREACHED
+        for h2, od in canon_items:
+            t = get(h2)
+            if t is not None and t[2]:
+                d2 = od + t[0]
+                if d2 < d_canon:
+                    d_canon = d2
+        c_w = cnt[w]
         _update_entry(
-            index, store, inv, w, q, d_w, cnt[w], canon, forward,
+            index, store, inv, w, q, d_w, c_w, d_canon, old, forward,
             strategy, stats,
         )
         if w == stop:
             continue  # couple-cycle: cycle entry updated, prune
         d_next = d_w + step
-        c_w = cnt[w]
         for u in neighbors(w):
             if pos[u] >= floor:
                 d_u = dist.get(u)
@@ -303,42 +362,36 @@ def _update_entry(
     q: int,
     d: int,
     c: int,
-    hub_canon: dict[int, int],
+    d_canon: int,
+    old: tuple[int, int, bool] | None,
     forward: bool,
     strategy: str,
     stats: UpdateStats,
 ) -> None:
-    """Algorithm 7 (UPDATE-LABEL) with canonical-flag recomputation —
-    patches the packed entry in place."""
-    # Canonical distance via strictly higher canonical hubs, for the flag
-    # (hub_canon's keys all rank strictly above q by construction).
-    d_canon = UNREACHED
-    get = (store._maps or store.ensure_maps())[w].get
-    for h2, od in hub_canon.items():
-        t = get(h2)
-        if t is not None and t[2]:
-            d2 = od + t[0]
-            if d2 < d_canon:
-                d_canon = d2
+    """Algorithm 7 (UPDATE-LABEL) — patches the packed entry in place.
+
+    ``d_canon`` is ``w``'s distance to the hub via strictly higher
+    canonical hubs, so the entry is canonical when ``d < d_canon``;
+    ``old`` is ``w``'s current ``(dist, count, canonical)`` entry of
+    hub ``q`` as the pruning query read it from the map, or ``None``."""
     flag = d_canon > d
-    i = store.hub_index(w, q)
-    if i >= 0:
-        _q, d_old, c_old, _f_old = store.decode(w, i)
-        if d < d_old:
-            store.set_at(w, i, q, d, c, flag)
-            stats.entries_updated += 1
-            if strategy == "minimality":
-                _clean_vertex(index, w, forward, stats)
-        elif d == d_old:
-            store.set_at(w, i, q, d, c_old + c, flag)
-            stats.entries_updated += 1
-        # d > d_old is impossible: the pruning query is bounded by d_old.
-    else:
+    if old is None:
         store.insert_sorted(w, q, d, c, flag)
         inv[q].add(w)
         stats.entries_added += 1
         if strategy == "minimality":
             _clean_vertex(index, w, forward, stats)
+        return
+    d_old = old[0]
+    if d < d_old:
+        store.set_at(w, store.hub_index(w, q), q, d, c, flag)
+        stats.entries_updated += 1
+        if strategy == "minimality":
+            _clean_vertex(index, w, forward, stats)
+    elif d == d_old:
+        store.set_at(w, store.hub_index(w, q), q, d, old[1] + c, flag)
+        stats.entries_updated += 1
+    # d > d_old is impossible: the pruning query is bounded by d_old.
 
 
 # ---------------------------------------------------------------------------

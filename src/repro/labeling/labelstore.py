@@ -46,7 +46,11 @@ taking one is a pointer-level copy of the per-vertex lists — the
 granularity.  The first mutation of a vertex since the last snapshot
 clones just that vertex's structures (:meth:`_own`), so a snapshot costs
 O(n) pointers up front plus O(dirty vertices) data over its lifetime,
-never a full copy.  The snapshot itself is frozen: any mutation raises
+never a full copy.  Ownership also logs each vertex the first time it
+is claimed in an epoch, and a snapshot keeps the log of the epoch that
+ended at it, so what changed between two consecutive snapshots is
+known in O(dirty) too (:meth:`LabelStore.claimed_since`).  The
+snapshot itself is frozen: any mutation raises
 :class:`~repro.errors.FrozenSnapshotError`, which is what makes a
 published snapshot safe to read from many threads while the writer keeps
 repairing the live store.
@@ -79,6 +83,7 @@ store so the packed arrays never drift from what queries see.
 from __future__ import annotations
 
 import sys
+import weakref
 from array import array
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Sequence
@@ -179,7 +184,8 @@ class LabelStore:
     """One direction's label table (all vertices) in packed form."""
 
     __slots__ = ("packed", "canon", "big", "_maps", "_bydist", "_dists",
-                 "_frozen", "_epoch", "_owner")
+                 "_frozen", "_epoch", "_owner", "_claimed", "_prev",
+                 "__weakref__")
 
     def __init__(self, n: int = 0) -> None:
         self.packed: list[array] = [array("Q") for _ in range(n)]
@@ -196,6 +202,13 @@ class LabelStore:
         self._frozen = False
         self._epoch = 0
         self._owner: list[int] | None = None
+        # Epoch log, kept once a snapshot has been taken.  On the live
+        # store: the vertices claimed since the last snapshot, in claim
+        # order, and a weak link to that snapshot.  On a snapshot: the
+        # same two for the epoch that ended at it — what
+        # :meth:`claimed_since` answers from.
+        self._claimed: list[int] | None = None
+        self._prev: weakref.ref[LabelStore] | None = None
 
     # ------------------------------------------------------------------
     # Construction / conversion
@@ -324,7 +337,26 @@ class LabelStore:
             self._epoch += 1
             if self._owner is None:
                 self._owner = [0] * len(self.packed)
+            snap._claimed, snap._prev = self._claimed, self._prev
+            self._claimed, self._prev = [], weakref.ref(snap)
         return snap
+
+    def claimed_since(self, prev: LabelStore) -> list[int] | None:
+        """The vertices whose structures changed between snapshot
+        ``prev`` and this store, ascending — or ``None`` when the log
+        cannot tell: ``prev`` is not the snapshot the live store took
+        just before this one (an intermediate snapshot, another store,
+        a rebuild's fresh store), or the vertex count changed.
+
+        Every change to a vertex after a snapshot goes through
+        :meth:`_own` or :meth:`_claim`, which log the vertex the first
+        time in an epoch and give it a new ``packed`` array, so the
+        answer is exactly the vertices whose ``packed`` is no longer
+        ``prev``'s; O(dirty) where a scan of all vertices is O(n)."""
+        if (self._prev is None or self._prev() is not prev
+                or len(prev.packed) != len(self.packed)):
+            return None
+        return sorted(self._claimed)
 
     def _own(self, v: int) -> None:
         """Copy-on-write guard: make vertex ``v``'s structures exclusively
@@ -339,6 +371,7 @@ class LabelStore:
         if owner is None or owner[v] == self._epoch:
             return
         owner[v] = self._epoch
+        self._claimed.append(v)
         self.packed[v] = array("Q", self.packed[v])
         b = self.big[v]
         if b is not None:
@@ -358,8 +391,10 @@ class LabelStore:
                 "label store snapshot is frozen; apply updates to the "
                 "live store it was taken from"
             )
-        if self._owner is not None:
-            self._owner[v] = self._epoch
+        owner = self._owner
+        if owner is not None and owner[v] != self._epoch:
+            owner[v] = self._epoch
+            self._claimed.append(v)
 
     # ------------------------------------------------------------------
     # Introspection

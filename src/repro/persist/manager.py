@@ -73,7 +73,17 @@ class DurabilityStats:
 
 def _dirty_vertices(prev: LabelStore, cur: LabelStore) -> list[int]:
     """Vertices whose label structures changed between two snapshots of
-    the same live store — pure identity/value compares, O(n)."""
+    the same live store, ascending.
+
+    When ``prev`` is the snapshot taken just before ``cur``, the live
+    store's epoch log answers in O(dirty)
+    (:meth:`LabelStore.claimed_since`).  Otherwise — a delta checkpoint
+    spanning several epochs, or a store swapped by a rebuild — it falls
+    back to an O(n) scan of identity/value compares; both give the same
+    list."""
+    claimed = cur.claimed_since(prev)
+    if claimed is not None:
+        return claimed
     prev_packed, cur_packed = prev.packed, cur.packed
     prev_canon, cur_canon = prev.canon, cur.canon
     prev_big, cur_big = prev.big, cur.big
