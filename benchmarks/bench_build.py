@@ -6,7 +6,13 @@ This benchmark keeps the construction-speed trajectory
 (``BENCH_build.json``) alongside the query/update/serving files:
 
 * per benchmark graph, the full CSC build under degree order is timed
-  (best of ``repeat`` rounds) and reported as label entries/second;
+  (best of ``repeat`` rounds) and reported as label entries/second, with
+  no other index resident (``seconds``, ``entries_per_sec``);
+* the same build is timed again while the previous index of the same
+  graph is still resident (``rebuild_seconds``,
+  ``rebuild_entries_per_sec``): that is the build the batch engine's
+  rebuild fallback and crash recovery pay, in a process that already
+  holds a large heap;
 * the process's peak RSS after each dataset's builds is recorded, so a
   construction-memory regression shows up in the diff, not just wall
   clock.
@@ -44,6 +50,12 @@ DEFAULT_DATASETS = ("G04", "WKT", "WBB")
 SEED = 7
 
 
+def _timed_build(graph, order) -> tuple[int, CSCIndex]:
+    t0 = time.perf_counter_ns()
+    index = CSCIndex.build(graph, order)
+    return time.perf_counter_ns() - t0, index
+
+
 def bench_build(profile: str, datasets, repeat: int):
     out = {
         "datasets": {},
@@ -53,21 +65,25 @@ def bench_build(profile: str, datasets, repeat: int):
     for name in datasets:
         graph = DATASETS[name].build(profile, SEED)
         order = degree_order(graph)
-        best_ns = None
+        best_ns = rebuild_ns = None
         entries = 0
         for _ in range(repeat):
-            t0 = time.perf_counter_ns()
-            index = CSCIndex.build(graph, order)
-            elapsed = time.perf_counter_ns() - t0
-            entries = index.total_entries()
-            if best_ns is None or elapsed < best_ns:
-                best_ns = elapsed
+            elapsed, index = _timed_build(graph, order)
+            best_ns = elapsed if best_ns is None else min(best_ns, elapsed)
+            # `index` stays resident while its replacement is built.
+            elapsed, rebuilt = _timed_build(graph, order)
+            rebuild_ns = (elapsed if rebuild_ns is None
+                          else min(rebuild_ns, elapsed))
+            entries = rebuilt.total_entries()
+            del index, rebuilt
         out["datasets"][name] = {
             "n": graph.n,
             "m": graph.m,
             "label_entries": entries,
             "seconds": best_ns / 1e9,
             "entries_per_sec": entries / (best_ns / 1e9),
+            "rebuild_seconds": rebuild_ns / 1e9,
+            "rebuild_entries_per_sec": entries / (rebuild_ns / 1e9),
             # process high-water mark so far (monotone across datasets)
             "peak_rss_kb": resource.getrusage(
                 resource.RUSAGE_SELF
@@ -82,7 +98,9 @@ def print_summary(build: dict) -> None:
     for name, row in build["datasets"].items():
         print(f"  {name}: {row['entries_per_sec']:.0f} entries/s "
               f"({row['seconds']:.2f}s, {row['label_entries']} entries, "
-              f"peak RSS {row['peak_rss_kb'] / 1024:.0f} MB)")
+              f"peak RSS {row['peak_rss_kb'] / 1024:.0f} MB); "
+              f"rebuild {row['rebuild_entries_per_sec']:.0f} entries/s "
+              f"({row['rebuild_seconds']:.2f}s)")
 
 
 def main(argv=None) -> int:

@@ -2,7 +2,9 @@
 
 :func:`hub_bfs` is the one pruned counting BFS of the repository: both
 sides of one hub, for both index kinds (CSC over the implicit ``Gb``,
-HP-SPC over ``G``).  :func:`build_label_tables` runs it for every hub
+HP-SPC over ``G``).  It runs level by level, and each level's pruning
+queries join only the hub's label entries near enough to prune at that
+distance.  :func:`build_label_tables` runs it for every hub
 in rank order — Algorithm 3's outer loop — and is what
 :meth:`CSCIndex.build <repro.core.csc.CSCIndex.build>` and
 :meth:`HPSPCIndex.build <repro.labeling.hpspc.HPSPCIndex.build>` call.
@@ -16,15 +18,16 @@ INCCNT kernel (:func:`repro.core.maintenance._resume_bfs`) resumes it
 from a new edge's far end with the same per-kind step, rank floor and
 couple-cycle stop, for both index kinds.  The kernel's output is
 pinned by the Table II/III goldens, the cross-checks against the naive
-DFS and BFS-CYCLE oracles and the byte-level build digests of
-``tests/core/test_build_digest.py``; ``benchmarks/bench_build.py``
-records its speed (``BENCH_build.json``, label entries per second).
+DFS and BFS-CYCLE oracles, the byte-level build digests of
+``tests/core/test_build_digest.py`` and the frozen queue-based kernel
+of ``tests/properties/build_oracle.py``; ``benchmarks/bench_build.py``
+records its speed (``BENCH_build.json``, label entries per second,
+fresh and with the previous index resident).
 """
 
 from __future__ import annotations
 
 import gc
-from collections import deque
 from collections.abc import Iterator
 from contextlib import contextmanager
 
@@ -75,84 +78,96 @@ def hub_bfs(graph, h, ph, pos, label_in, label_out, canon_in, canon_out,
     packing is cheap.
 
     ``forward`` generates in-labels (pruning joins the hub's ``Lout``
-    against the dequeued vertex's ``Lin``), the backward side the
+    against the visited vertex's ``Lin``), the backward side the
     mirror image.  ``csc`` selects the CSC index over the implicit
     ``Gb``: levels advance by 2 (couple edge plus one original edge),
-    the forward ``hub_dist`` is the couple-shifted ``Lout(h_out)``, and
+    the forward hub side is ``Lout(h_out)`` one couple edge on, and
     the backward BFS starts from ``h``'s in-neighbours' ``out`` sides
     at distance 1 and stops at ``h``'s own couple after recording the
     cycle entry (Section IV-C rule (4)).  HP-SPC is the plain BFS on
     ``G``.  Every other seed is ``h`` itself at distance 0, so the one
     rank test ``pos[u] >= ph`` never re-admits it.
 
+    The BFS runs level by level: one frontier list per distance
+    ``d_w``, so a vertex's count is final when its level starts.
     ``canon_in``/``canon_out`` hold, per vertex, a ``{rank: dist}`` map
     of that table's canonical entries only; the BFS adds to them as it
-    appends.  The pruning query (Algorithm 3 line 13) intersects the
-    hub's map with the dequeued vertex's map in C (``keys() & keys()``)
-    and visits only the common hubs in Python, instead of scanning every
-    entry of the vertex's label.  Every key of both maps is a strictly
-    higher hub (rank ``< ph``) when the query runs: tables grow in rank
-    order, a vertex is dequeued at most once per side and queried before
-    its own append, and the backward side drops the hub's own
-    rank-``ph`` in-entry from its map.
+    appends.  The pruning query (Algorithm 3 line 13) intersects a hub
+    map with the visited vertex's map in C (``keys() & keys()``) and
+    visits only the common hubs in Python.  It needs only to know
+    whether some canonical pair sum falls below ``d_w`` (prune) or
+    equals it (not canonical).  Every key of the visited vertex's map is
+    a strictly higher hub (rank ``< ph``) when the query runs: tables
+    grow in rank order, and a vertex is visited at most once per side
+    and queried before its own append.  So the backward side's own
+    rank-``ph`` hub entry never meets a vertex key, no key names the
+    visited vertex (rank ``>= ph``), and every vertex-side distance is at
+    least 1: a hub entry at ``lim = d_w - shift`` or farther can decide
+    neither.  Each level joins only the hub's entries with
+    ``dist < lim``, a filtered dict rebuilt once per level, and stops at
+    the first sum below ``lim``.  ``shift`` is CSC's forward couple edge,
+    folded into the bound instead of added to every hub entry.
     ``dist``/``cnt`` are ``UNREACHED``/0 scratch arrays, restored
     before returning.
     """
     if forward:
         target, canon_target = label_in, canon_in
-        hub_dist = canon_out[h]
-        if csc:
-            hub_dist = {q: d + 1 for q, d in hub_dist.items()}
+        hub_map = canon_out[h]
     else:
         target, canon_target = label_out, canon_out
-        hub_dist = canon_in[h]
-        if ph in hub_dist:
-            hub_dist = hub_dist.copy()
-            del hub_dist[ph]
-    hub_keys = hub_dist.keys()
+        hub_map = canon_in[h]
+    shift = 1 if csc and forward else 0
     adjacency = graph.adjacency(forward)
     if csc and not forward:
         stop = h
-        visited = [u for u in adjacency[h] if pos[u] >= ph]
-        for u in visited:
-            dist[u] = 1
-            cnt[u] = 1
+        frontier = [u for u in adjacency[h] if pos[u] >= ph]
+        d_w = 1
     else:
         stop = -1
-        visited = [h]
-        dist[h] = 0
-        cnt[h] = 1
+        frontier = [h]
+        d_w = 0
+    for u in frontier:
+        dist[u] = d_w
+        cnt[u] = 1
+    visited = list(frontier)
     step = 2 if csc else 1
-    queue: deque[int] = deque(visited)
-    while queue:
-        w = queue.popleft()
-        d_w = dist[w]
-        # Pruning query (Algorithm 3 line 13) over the common hubs.
-        canon_w = canon_target[w]
-        d_via = UNREACHED
-        for q in hub_keys & canon_w.keys():
-            d = hub_dist[q] + canon_w[q]
-            if d < d_via:
-                d_via = d
-        if d_via < d_w:
-            continue
-        canonical = d_via > d_w
-        target[w] += (ph, d_w, cnt[w], canonical)
-        if canonical:
-            canon_w[ph] = d_w
-        if w == stop:
-            continue  # couple-cycle: cycle entry recorded, prune
+    while frontier:
+        lim = d_w - shift
+        level = {q: d for q, d in hub_map.items() if d < lim}
+        level_keys = level.keys()
         d_next = d_w + step
-        c_w = cnt[w]
-        for u in adjacency[w]:
-            if dist[u] == UNREACHED:
-                if pos[u] >= ph:
-                    dist[u] = d_next
-                    cnt[u] = c_w
-                    queue.append(u)
-                    visited.append(u)
-            elif dist[u] == d_next:
-                cnt[u] += c_w
+        reached = []
+        for w in frontier:
+            # Pruning query (Algorithm 3 line 13) over the common hubs.
+            canon_w = canon_target[w]
+            d_via = UNREACHED
+            for q in level_keys & canon_w.keys():
+                d = level[q] + canon_w[q]
+                if d < d_via:
+                    d_via = d
+                    if d < lim:
+                        break  # a shorter witness prunes w
+            if d_via < lim:
+                continue
+            canonical = d_via > lim
+            target[w] += (ph, d_w, cnt[w], canonical)
+            if canonical:
+                canon_w[ph] = d_w
+            if w == stop:
+                continue  # couple-cycle: cycle entry recorded, prune
+            c_w = cnt[w]
+            for u in adjacency[w]:
+                d_u = dist[u]
+                if d_u == UNREACHED:
+                    if pos[u] >= ph:
+                        dist[u] = d_next
+                        cnt[u] = c_w
+                        reached.append(u)
+                elif d_u == d_next:
+                    cnt[u] += c_w
+        visited += reached
+        frontier = reached
+        d_w = d_next
     for w in visited:
         dist[w] = UNREACHED
         cnt[w] = 0

@@ -50,6 +50,11 @@ Two strategies (Section V-B):
   (Algorithm 8) over the touched vertex's labels and the inverted indexes,
   restoring Theorem V.3 minimality at much higher cost (Figure 11).
 
+The inverted indexes are built when first read, by the first
+minimality insert or deletion repair after a build, load or rebuild.
+Redundancy inserts keep them exact once they exist but never build
+them: nothing on that path reads them.
+
 Edge deletion — DECCNT (Section V-C)
 ------------------------------------
 Affected hubs are *all* vertices satisfying the paper's distance conditions
@@ -178,7 +183,10 @@ def insert_edge(
     """
     _check_strategy(strategy)
     index.graph.add_edge(a, b)
-    index.ensure_inverted()
+    if strategy == "minimality":
+        # CLEAN-LABEL reads the inverted index; build it before any pass
+        # so no pass holds a stale ``None`` while a clean builds it.
+        index.ensure_inverted()
     stats = UpdateStats("insert", (a, b), strategy)
     csc = isinstance(index, CSCIndex)
     step = 2 if csc else 1
@@ -357,7 +365,7 @@ def _resume_bfs(
 def _update_entry(
     index: CSCIndex | HPSPCIndex,
     store: LabelStore,
-    inv: list[set[int]],
+    inv: list[set[int]] | None,
     w: int,
     q: int,
     d: int,
@@ -373,11 +381,15 @@ def _update_entry(
     ``d_canon`` is ``w``'s distance to the hub via strictly higher
     canonical hubs, so the entry is canonical when ``d < d_canon``;
     ``old`` is ``w``'s current ``(dist, count, canonical)`` entry of
-    hub ``q`` as the pruning query read it from the map, or ``None``."""
+    hub ``q`` as the pruning query read it from the map, or ``None``.
+    ``inv`` is the side's inverted index, or ``None`` while it is not
+    built: only CLEAN-LABEL and deletion repair read it, and both build
+    it from the store when they first need it."""
     flag = d_canon > d
     if old is None:
         store.insert_sorted(w, q, d, c, flag)
-        inv[q].add(w)
+        if inv is not None:
+            inv[q].add(w)
         stats.entries_added += 1
         if strategy == "minimality":
             _clean_vertex(index, w, forward, stats)

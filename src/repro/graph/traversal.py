@@ -10,6 +10,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Sequence
 
+from repro.errors import VertexError
 from repro.graph.digraph import DiGraph
 
 __all__ = [
@@ -31,20 +32,32 @@ def bfs_distances(
     """Hop distances from ``source`` to every vertex (or *to* ``source`` from
     every vertex when ``reverse`` is true).
 
-    Returns a dense list indexed by vertex id with :data:`INF` for
-    unreachable vertices.
+    Returns a dense list indexed by vertex id with :data:`INF` itself
+    (the object, so ``is INF`` tests it) for unreachable vertices.
+
+    The BFS runs level by level over :meth:`DiGraph.adjacency
+    <repro.graph.digraph.DiGraph.adjacency>`, the unchecked neighbour
+    lists: with unit weights a vertex's first visit is final, so the
+    one test per scanned neighbour is whether it is still unvisited.
+    Deletion discovery (:func:`repro.core.maintenance.deletion_affected_hubs`)
+    runs four of these per deleted edge.
     """
+    if not 0 <= source < graph.n:
+        raise VertexError(source, graph.n)
+    adjacency = graph.adjacency(not reverse)
     dist: list[float] = [INF] * graph.n
     dist[source] = 0
-    queue: deque[int] = deque((source,))
-    neighbors = graph.in_neighbors if reverse else graph.out_neighbors
-    while queue:
-        v = queue.popleft()
-        d_next = dist[v] + 1
-        for u in neighbors(v):
-            if dist[u] is INF or dist[u] > d_next:
-                dist[u] = d_next
-                queue.append(u)
+    frontier = [source]
+    d = 0
+    while frontier:
+        d += 1
+        reached = []
+        for v in frontier:
+            for u in adjacency[v]:
+                if dist[u] is INF:
+                    dist[u] = d
+                    reached.append(u)
+        frontier = reached
     return dist
 
 

@@ -17,6 +17,10 @@ after the whole stream, plus the total ``repair_bfs_count`` of the
 stream.  (Deletion repair rebuilds whole hub fingerprints, which on
 ``wkt`` scrubs every trace of the strategy, so the post-insertion digest
 is what tells the two strategies apart there.)
+
+Two full-size graphs are pinned too, the ones perfbench's screen and
+churn workloads start from: their BFSes run many levels deep, where
+the small graphs' hub maps rarely reach past the level being searched.
 """
 
 import hashlib
@@ -137,3 +141,32 @@ def test_maintenance_bytes_match_golden_digest(graph, kind, strategy):
     assert (inserted, digest, repair_bfs) == MAINTENANCE_DIGESTS[
         name, kind, strategy
     ]
+
+
+#: The full-size graphs perfbench's screen and churn workloads start
+#: from, digests recorded before the level-synchronous BFS.
+FULL_GRAPHS = {
+    "wkt-5000": lambda: DATASETS["WKT"].builder(5000, 10500, 1),
+    "fraud-1000": lambda: make_transaction_network(
+        n=1000, m=4500, rings=30, seed=1
+    ).graph,
+}
+
+FULL_DIGESTS = {
+    ("wkt-5000", CSCIndex):
+        "6345182b37db6cbac3035a77da90e6191852d2944a8567d3e1d1737e50359cd4",
+    ("wkt-5000", HPSPCIndex):
+        "227111b0549a72c86b9e19de4020e6a7219016791a258690fab7a4345c5d4505",
+    ("fraud-1000", CSCIndex):
+        "a7143bde184cd386e8667d5be1b2bfbad5d44830df6a79bc076360454c3bf488",
+    ("fraud-1000", HPSPCIndex):
+        "358c3f4873e1c5ef85e16cbcb05e5cbec799558265cf138c9194e4cffaf9b994",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FULL_GRAPHS))
+def test_full_size_build_bytes_match_golden_digest(name):
+    g = FULL_GRAPHS[name]()
+    for kind in (CSCIndex, HPSPCIndex):
+        digest = hashlib.sha256(kind.build(g).to_bytes()).hexdigest()
+        assert digest == FULL_DIGESTS[name, kind], kind.__name__

@@ -1,14 +1,18 @@
 """Tests for INCCNT — incremental index maintenance (Algorithms 5–7)."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.bfs_cycle import bfs_cycle_count
+from repro.core.batch import apply_batch
 from repro.core.csc import CSCIndex
 from repro.core.maintenance import insert_edge
 from repro.errors import EdgeExistsError
 from repro.graph.digraph import DiGraph
+from repro.labeling.hpspc import HPSPCIndex
 from tests.conftest import digraphs, random_digraph
 
 
@@ -182,3 +186,51 @@ class TestMinimalityInvariant:
 
 def _strip_flags(entries):
     return [(q, d, c) for q, d, c, _f in entries]
+
+
+def _insert_random(index, rng, k, strategy):
+    n = index.graph.n
+    done = 0
+    while done < k:
+        a, b = rng.randrange(n), rng.randrange(n)
+        if a != b and not index.graph.has_edge(a, b):
+            insert_edge(index, a, b, strategy)
+            done += 1
+
+
+class TestInvertedIndexOnDemand:
+    """Only CLEAN-LABEL and deletion repair read the inverted index, so
+    redundancy inserts neither build it nor need it; once built, every
+    insert keeps it exact."""
+
+    @pytest.mark.parametrize("kind", [CSCIndex, HPSPCIndex],
+                             ids=["csc", "hpspc"])
+    def test_redundancy_inserts_leave_it_unbuilt(self, kind):
+        idx = kind.build(random_digraph(30, 70, seed=5))
+        _insert_random(idx, random.Random(1), 12, "redundancy")
+        assert idx._inv_in is None and idx._inv_out is None
+        _insert_random(idx, random.Random(2), 3, "minimality")
+        assert idx._inv_in == idx.store_in.inverted()
+        assert idx._inv_out == idx.store_out.inverted()
+
+    def test_mixed_stream_keeps_it_exact(self):
+        """Redundancy inserts, a deletion batch below the rebuild
+        threshold (its repair builds the index), more redundancy inserts
+        (which now maintain it), then minimality inserts."""
+        idx = CSCIndex.build(random_digraph(40, 110, seed=9))
+        rng = random.Random(3)
+        _insert_random(idx, rng, 10, "redundancy")
+        assert idx._inv_in is None
+        edges = sorted(idx.graph.edges())
+        stats = apply_batch(
+            idx, [("delete", a, b) for a, b in rng.sample(edges, 2)],
+            rebuild_threshold=2.0,  # at most 2n sides: never rebuild
+        )
+        assert not stats.rebuilt
+        assert idx._inv_in is not None
+        _insert_random(idx, rng, 10, "redundancy")
+        _insert_random(idx, rng, 6, "minimality")
+        assert idx.validate() == []
+        assert idx._inv_in == idx.store_in.inverted()
+        assert idx._inv_out == idx.store_out.inverted()
+        assert_queries_match_rebuild(idx)

@@ -1,8 +1,13 @@
 """Tests for BFS primitives and the shortest-path-counting oracle."""
 
-import networkx as nx
-from hypothesis import given, settings
+from collections import deque
 
+import networkx as nx
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.errors import VertexError
 from repro.graph.digraph import DiGraph
 from repro.graph.traversal import (
     INF,
@@ -54,6 +59,60 @@ class TestBfsDistances:
                 assert dist[v] == expected[v]
             else:
                 assert dist[v] is INF
+
+
+def reference_bfs_distances(graph, source, reverse=False):
+    """The queue-based ``bfs_distances`` as it stood before the level
+    loop: vertex-checked neighbour calls and a relaxation test."""
+    dist = [INF] * graph.n
+    dist[source] = 0
+    queue = deque((source,))
+    neighbors = graph.in_neighbors if reverse else graph.out_neighbors
+    while queue:
+        v = queue.popleft()
+        d_next = dist[v] + 1
+        for u in neighbors(v):
+            if dist[u] is INF or dist[u] > d_next:
+                dist[u] = d_next
+                queue.append(u)
+    return dist
+
+
+@st.composite
+def graphs_with_source(draw):
+    """A digraph padded with isolated vertices, so some are unreachable
+    both ways, plus a source vertex."""
+    g = draw(digraphs(max_n=12))
+    isolated = draw(st.integers(min_value=0, max_value=3))
+    g = DiGraph.from_edges(g.n + isolated, g.edges())
+    return g, draw(st.integers(min_value=0, max_value=g.n - 1))
+
+
+class TestBfsDistancesReference:
+    @settings(max_examples=100, deadline=None)
+    @given(case=graphs_with_source(), reverse=st.booleans())
+    def test_matches_reference_loop(self, case, reverse):
+        g, source = case
+        want = reference_bfs_distances(g, source, reverse)
+        got = bfs_distances(g, source, reverse=reverse)
+        assert got == want
+        for d_got, d_want in zip(got, want):
+            # deletion discovery tests unreachability with `is not INF`
+            assert (d_got is INF) == (d_want is INF)
+
+    def test_unreachable_is_the_inf_object_both_ways(self):
+        g = DiGraph.from_edges(5, [(0, 1), (1, 2), (3, 1)])
+        assert bfs_distances(g, 0) == [0, 1, 2, INF, INF]
+        assert [d is INF for d in bfs_distances(g, 0)] == [
+            False, False, False, True, True]
+        back = bfs_distances(g, 2, reverse=True)
+        assert back == [2, 1, 0, 2, INF]
+        assert back[4] is INF
+
+    @pytest.mark.parametrize("source", [-1, 3])
+    def test_source_out_of_range(self, source):
+        with pytest.raises(VertexError):
+            bfs_distances(DiGraph(3), source)
 
 
 class TestBfsBetween:
