@@ -13,8 +13,8 @@ of these numbers into a CI gate.
 * **Query benchmark** — the Figure-10 workload (degree-cluster-sampled
   ``SCCnt`` queries) on each benchmark graph, timed per query for both
   the packed-store merge-join kernel (``CSCIndex.sccnt``) and the seed's
-  tuple-list implementation (:mod:`repro.core.legacy_labels`) running on
-  the *same* label data.  The harness asserts the two return
+  tuple-list implementation (``tests/properties/legacy_labels.py``)
+  running on the *same* label data.  The harness asserts the two return
   bit-identical counts on every sampled vertex before recording the
   speedup.
 * **Update benchmark** — per-edge DECCNT deletions and INCCNT
@@ -51,13 +51,14 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
+# The frozen seed kernels live in the test tree.
+sys.path.insert(1, str(REPO_ROOT))
 
 from repro.core.batch import (  # noqa: E402
     DEFAULT_REBUILD_THRESHOLD,
     apply_batch,
 )
 from repro.core.csc import CSCIndex  # noqa: E402
-from repro.core.legacy_labels import legacy_sccnt  # noqa: E402
 from repro.core.maintenance import delete_edge, insert_edge  # noqa: E402
 from repro.graph.datasets import DATASETS  # noqa: E402
 from repro.labeling.ordering import degree_order  # noqa: E402
@@ -67,6 +68,7 @@ from repro.workloads.updates import (  # noqa: E402
     mixed_update_stream,
     random_edge_batch,
 )
+from tests.properties.legacy_labels import legacy_sccnt  # noqa: E402
 
 from bench_build import bench_build, print_summary  # noqa: E402
 from bench_recovery import bench_recovery  # noqa: E402

@@ -25,10 +25,10 @@ __all__ = [
 
 #: Every attribute that is LabelStore state: the packed ground truth
 #: (per-vertex ``array('Q')`` rows, canonical bitsets, overflow
-#: tables) plus the lazy accelerator caches and the
+#: tables) plus the lazy accelerator cache and the
 #: copy-on-write bookkeeping.
 STORE_ATTRS = frozenset({
-    "packed", "canon", "big", "_maps", "_bydist", "_dists",
+    "packed", "canon", "big", "_maps",
     "_owner", "_epoch", "_frozen", "_claimed", "_prev",
 })
 
@@ -47,8 +47,7 @@ _MUTATORS = frozenset({
 #: the ownership protocol itself, construction, and the private
 #: helpers whose contract is "caller owns the vertex".
 _EXEMPT_METHODS = frozenset({
-    "__init__", "_own", "_claim", "_set_big", "_bydist_replace",
-    "_refresh_map",
+    "__init__", "_own", "_claim", "_set_big", "_refresh_map",
 })
 
 #: Calls/loads that constitute an ownership guard when they appear

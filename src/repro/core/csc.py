@@ -53,7 +53,7 @@ from repro.labeling.labelstore import (
     LabelStore,
     LabelTable,
     coerce_store,
-    join_bydist_min_dist,
+    join_min_dist,
 )
 from repro.labeling.ordering import degree_order, positions, validate_order
 from repro.types import NO_CYCLE, NO_PATH, CycleCount, PathCount
@@ -102,10 +102,6 @@ class CSCIndex:
         "store_out",
         "_qmaps_in",
         "_qmaps_out",
-        "_qdist_in",
-        "_qdist_out",
-        "_qdd_in",
-        "_qdd_out",
         "_inv_in",
         "_inv_out",
     )
@@ -132,10 +128,6 @@ class CSCIndex:
         # must call _bind_query_maps() again.
         self._qmaps_in = self.store_in.ensure_maps()
         self._qmaps_out = self.store_out.ensure_maps()
-        self._qdist_in = self.store_in.ensure_bydist()
-        self._qdist_out = self.store_out.ensure_bydist()
-        self._qdd_in = self.store_in.ensure_dists()
-        self._qdd_out = self.store_out.ensure_dists()
         # Inverted indexes (hub_pos -> set of labeled vertices); built lazily
         # by ensure_inverted() since only dynamic maintenance needs them.
         self._inv_in: list[set[int]] | None = None
@@ -144,10 +136,6 @@ class CSCIndex:
     def _bind_query_maps(self) -> None:
         self._qmaps_in = self.store_in.ensure_maps()
         self._qmaps_out = self.store_out.ensure_maps()
-        self._qdist_in = self.store_in.ensure_bydist()
-        self._qdist_out = self.store_out.ensure_bydist()
-        self._qdd_in = self.store_in.ensure_dists()
-        self._qdd_out = self.store_out.ensure_dists()
 
     @property
     def label_in(self) -> LabelTable:
@@ -248,32 +236,27 @@ class CSCIndex:
         (iterate the smaller side, probe the larger at C dict speed); the
         ``Gb`` distance ``d`` maps to cycle length ``(d + 1) / 2``.
         """
-        # Iterate the smaller side's distance-sorted view, probe the
-        # larger side's {hub: dist} dict (counts fetched only on
-        # improve/tie); stop once the sorted distance passes the best sum
-        # found (probe-side distances are >= 0).
-        if len(self._qmaps_out[v]) <= len(self._qmaps_in[v]):
-            items = self._qdist_out[v]
-            probe = self._qdd_in[v]
-            counts = self._qmaps_in[v]
-        else:
-            items = self._qdist_in[v]
-            probe = self._qdd_out[v]
-            counts = self._qmaps_out[v]
+        # :func:`join_min_count` inlined: the smaller map iterates in
+        # ascending distance, so the scan stops once its distance passes
+        # the best sum found (probe-side distances are >= 0).
+        ma = self._qmaps_out[v]
+        mb = self._qmaps_in[v]
+        if len(ma) > len(mb):
+            ma, mb = mb, ma
         best = UNREACHED
         total = 0
-        get = probe.get
-        for d_a, h, c_a in items:
+        get = mb.get
+        for h, (d_a, c_a, _f) in ma.items():
             if d_a > best:
                 break
-            od = get(h)
-            if od is not None:
-                d = d_a + od
+            tb = get(h)
+            if tb is not None:
+                d = d_a + tb[0]
                 if d < best:
                     best = d
-                    total = c_a * counts[h][1]
+                    total = c_a * tb[1]
                 elif d == best:
-                    total += c_a * counts[h][1]
+                    total += c_a * tb[1]
         if total == 0 or best == UNREACHED:
             return NO_CYCLE
         # tuple.__new__ skips NamedTuple's python-level __new__ (~280ns
@@ -352,9 +335,7 @@ class CSCIndex:
     def cycle_gb_distance(self, v: int) -> int:
         """Raw ``Gb`` distance of ``SPCnt(v_out, v_in)`` (``UNREACHED`` when
         no cycle exists) — exposed for tests and diagnostics."""
-        if len(self._qmaps_out[v]) <= len(self._qmaps_in[v]):
-            return join_bydist_min_dist(self._qdist_out[v], self._qdd_in[v])
-        return join_bydist_min_dist(self._qdist_in[v], self._qdd_out[v])
+        return join_min_dist(self._qmaps_out[v], self._qmaps_in[v])
 
     # ------------------------------------------------------------------
     # Internal distance/count queries over the implicit Gb
@@ -365,12 +346,15 @@ class CSCIndex:
 
         Derived from the stored ``Lout(x_out)`` by the couple shift
         ``sd(x_in, h) = sd(x_out, h) + 1``, with the hub ``x_in`` itself at
-        distance 0 replacing the shifted cycle entry.
+        distance 0 replacing the shifted cycle entry.  It iterates in
+        ascending distance, as the stored maps do, so it can be joined
+        with :func:`~repro.labeling.labelstore.join_min_count`.
         """
-        derived = {
-            q: (dc[0] + 1, dc[1]) for q, dc in self._qmaps_out[x].items()
-        }
-        derived[self.pos[x]] = (0, 1)
+        px = self.pos[x]
+        derived = {px: (0, 1)}
+        for q, dc in self._qmaps_out[x].items():
+            if q != px:
+                derived[q] = (dc[0] + 1, dc[1])
         return derived
 
     def qdist_in_in(self, x: int, y: int) -> int:
@@ -408,9 +392,7 @@ class CSCIndex:
         over the maintained hub maps — the seed rebuilt a dict of
         ``Lin(y)`` on every call.
         """
-        if len(self._qmaps_out[x]) <= len(self._qmaps_in[y]):
-            return join_bydist_min_dist(self._qdist_out[x], self._qdd_in[y])
-        return join_bydist_min_dist(self._qdist_in[y], self._qdd_out[x])
+        return join_min_dist(self._qmaps_out[x], self._qmaps_in[y])
 
     # ------------------------------------------------------------------
     # Inverted indexes for maintenance

@@ -21,22 +21,21 @@ dict on every call.  :class:`LabelStore` is the packed replacement:
   the exact Python int here).  Pure-Python counts stay arbitrary
   precision — ``sccnt`` answers with 2**26 cycles remain exact — while
   the packed word matches what fixed-width C++ would hold.
-* ``_maps[v]`` — a lazily built, incrementally maintained join
-  accelerator ``{hub: (dist, exact_count, canonical)}``.  CPython's
-  interpreter economics invert the C++ picture: a two-pointer scan over
-  boxed ``array('Q')`` words is *slower* than the old tuple merge
-  (measured 0.3–1.0x), while iterating the smaller side's map and
-  probing the larger side's dict at C speed is 2–5x faster.  The query
-  kernels below and every maintenance pruning query therefore
-  merge-join through the maps, and the packed arrays remain the ground
-  truth for ordering, persistence, and footprint.
-* ``_bydist[v]`` — the same entries as ``(dist, hub, exact_count)``
-  tuples sorted by distance.  Joining in increasing iterate-side
-  distance admits an early exit — once the running best sum ``B`` is
-  known, entries with ``dist > B`` cannot improve or tie it (probe-side
-  distances are >= 0) — which cuts the iteration count by another
-  1.3–3x on the benchmark graphs (the paper's graphs have short cycles
-  but long-tailed label distances).
+* ``_maps[v]`` — the query accelerator ``{hub: (dist, exact_count,
+  canonical)}``, the only one a store keeps.  CPython's interpreter
+  economics invert the C++ picture: a two-pointer scan over boxed
+  ``array('Q')`` words is *slower* than the old tuple merge (measured
+  0.3–1.0x), while iterating the smaller side's map and probing the
+  larger side's dict at C speed is 2–5x faster.  The query kernels below
+  and every maintenance pruning query therefore merge-join through the
+  maps, and the packed arrays remain the ground truth for ordering,
+  persistence, and footprint.  Every map iterates in ascending ``(dist,
+  hub)`` order: joining in increasing iterate-side distance admits an
+  early exit — once the running best sum ``B`` is known, entries with
+  ``dist > B`` cannot improve or tie it (probe-side distances are
+  >= 0) — which cuts the iteration count by 1.3–3x on the benchmark
+  graphs (the paper's graphs have short cycles but long-tailed label
+  distances).  Every mutator keeps that order (:func:`_place`).
 
 Snapshots (:meth:`LabelStore.snapshot`) implement the read side of the
 single-writer / multi-reader serving engine (:mod:`repro.service`):
@@ -58,21 +57,18 @@ repairing the live store.
 Serialization (:meth:`LabelStore.to_bytes` / :meth:`from_bytes`) dumps
 the packed arrays with ``array.tobytes`` — one memcpy per vertex instead
 of the seed's per-entry ``struct.pack`` loop — and restores them with
-``array.frombytes``.  Which accelerators exist up front depends on where
-a store comes from:
+``array.frombytes``.  Whether the maps exist up front depends on where a
+store comes from:
 
 * :meth:`LabelStore.from_flat` (index construction) packs the words,
   canonical bits and overflow table in one pass per vertex and builds
-  ``_maps`` in the same pass; for the CSC index the pass also builds
-  ``_dists`` and ``_bydist``, HP-SPC stores get ``_maps`` only.  Equal
-  accelerator tuples are built once per store and shared.
-* :meth:`LabelStore.from_lists` (tuple tables) runs the same pass and
-  builds ``_maps``.
-* A store loaded with :meth:`from_bytes` builds nothing until a caller
-  asks (``ensure_maps`` & co.).
+  ``_maps`` in the same pass, sharing equal accelerator tuples.
+* :meth:`LabelStore.from_lists` (tuple tables) runs the same pass.
+* A store loaded with :meth:`from_bytes` builds no maps until a caller
+  asks (:meth:`LabelStore.ensure_maps`).
 
-``CSCIndex`` asks for all three when it is constructed, so a live CSC
-index always has its accelerators resident.
+``CSCIndex`` asks for the maps when it is constructed, so a live CSC
+index always has its accelerator resident.
 
 :class:`LabelTable` / :class:`LabelView` are list-compatible facades so
 diagnostics and the existing test suite keep reading (and corrupting)
@@ -87,7 +83,6 @@ import weakref
 from array import array
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Sequence
-from operator import itemgetter
 
 from repro.errors import FrozenSnapshotError, SerializationError
 from repro.labeling.packing import (
@@ -107,8 +102,6 @@ __all__ = [
     "LabelView",
     "join_min_count",
     "join_min_dist",
-    "join_bydist_min_count",
-    "join_bydist_min_dist",
     "join_words_min_count",
     "join_words_path",
 ]
@@ -136,9 +129,6 @@ _VERSION = 1
 #: ``bytes.translate`` table turning 0/1 flag bytes into ``int(.., 2)``
 #: digits.
 _BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
-
-#: Sort key of the ``(dist, hub, count)`` view: distance alone.
-_first = itemgetter(0)
 
 
 def _pack(hub: int, dist: int, count: int) -> int:
@@ -180,20 +170,35 @@ def _pack_columns(
     return words, bits, big
 
 
+def _place(vmap: dict[int, tuple[int, int, bool]], hub: int,
+           value: tuple[int, int, bool]) -> None:
+    """Add ``hub -> value`` to a map in ascending ``(dist, hub)`` order
+    that lacks ``hub``, at its place in that order.  A dict only appends,
+    so the entries past the place are popped and appended again: the
+    cost is the tail's length, nothing for a new farthest entry."""
+    dist = value[0]
+    tail = []
+    while vmap:
+        h, val = item = vmap.popitem()  # the last entry
+        if val[0] < dist or (val[0] == dist and h < hub):
+            vmap[h] = val  # appended again: back in its place
+            break
+        tail.append(item)
+    vmap[hub] = value
+    vmap.update(reversed(tail))
+
+
 class LabelStore:
     """One direction's label table (all vertices) in packed form."""
 
-    __slots__ = ("packed", "canon", "big", "_maps", "_bydist", "_dists",
-                 "_frozen", "_epoch", "_owner", "_claimed", "_prev",
-                 "__weakref__")
+    __slots__ = ("packed", "canon", "big", "_maps", "_frozen", "_epoch",
+                 "_owner", "_claimed", "_prev", "__weakref__")
 
     def __init__(self, n: int = 0) -> None:
         self.packed: list[array] = [array("Q") for _ in range(n)]
         self.canon: list[int] = [0] * n
         self.big: list[dict[int, int] | None] = [None] * n
         self._maps: list[dict[int, tuple[int, int, bool]]] | None = None
-        self._bydist: list[list[tuple[int, int, int]]] | None = None
-        self._dists: list[dict[int, int]] | None = None
         # Snapshot support: a frozen store rejects mutation; a live store
         # that has been snapshotted copy-on-writes per vertex (``_owner[v]``
         # records the epoch in which the writer last took exclusive
@@ -218,49 +223,42 @@ class LabelStore:
         """Pack a list-of-tuple-lists label table (the seed representation).
 
         Builds the ``_maps`` join accelerator in the same pass
-        (:meth:`from_flat`); the distance views stay lazy.
+        (:meth:`from_flat`).
         """
         return cls.from_flat(
             [[x for hub, dist, count, flag in entries
               for x in (hub, dist, count, bool(flag))]
-             for entries in tables],
-            False,
+             for entries in tables]
         )
 
     @classmethod
-    def from_flat(cls, flats: Sequence[list], dist_views: bool) -> LabelStore:
+    def from_flat(cls, flats: Iterable[list]) -> LabelStore:
         """Pack per-vertex flat entry lists ``[hub, dist, count,
         canonical, hub, ...]`` — what construction writes.
 
         One pass per vertex packs the words, the canonical bits and the
-        overflow table and builds the ``_maps`` join accelerator.  With
-        ``dist_views`` — construction of the CSC index, whose query
-        kernels read them — the same pass also builds ``_dists`` and
-        ``_bydist``; otherwise they stay lazy.  ``dist_views`` requires
-        each vertex's entries in ascending hub order, as construction
-        writes them: ``_bydist`` is then a stable sort by distance alone,
-        which is the ``(dist, hub)`` order :meth:`ensure_bydist`
-        produces.
+        overflow table and builds the ``_maps`` join accelerator, sorting
+        the vertex's entries by distance once.  The sort is stable, so
+        entries given in ascending hub order, as construction writes
+        them, come out in the ``(dist, hub)`` order every map keeps; a
+        table out of hub order (a deliberately corrupt one) keeps its
+        ties in input order, still ascending in distance, which is all
+        the joins need.
 
         Equal accelerator tuples are shared, one object per value and
         store: labels repeat few values.  On perfbench's churn graph the
         larger side holds 63k entries but about 140 distinct ``(dist,
-        count, canonical)`` values and 4k distinct ``(dist, hub, count)``
-        rows.  Sharing keeps the build's young generation small, so the
-        one collection that follows a paused-GC build
-        (:func:`repro.build.paused_gc`) is short, and it saves the
-        memory of the duplicates.
+        count, canonical)`` values.  Sharing keeps the build's young
+        generation small, so the one collection that follows a
+        paused-GC build (:func:`repro.build.paused_gc`) is short, and it
+        saves the memory of the duplicates.
         """
         store = cls(0)
         value_of = {}.setdefault
-        row_of = {}.setdefault
         packed = store.packed
         canon = store.canon
         big = store.big
         maps: list[dict[int, tuple[int, int, bool]]] = []
-        if dist_views:
-            store._dists = dists_of = []
-            store._bydist = bydist_of = []
         for flat in flats:
             if flat:
                 hubs, dists, counts, flags = (
@@ -268,18 +266,16 @@ class LabelStore:
                 )
                 arr, bits, b = _pack_columns(hubs, dists, counts, flags)
                 values = list(zip(dists, counts, flags))
-                vmap = dict(zip(hubs, map(value_of, values, values)))
+                pairs = list(zip(hubs, map(value_of, values, values)))
+                vmap = dict(map(pairs.__getitem__, sorted(
+                    range(len(pairs)), key=dists.__getitem__
+                )))
             else:
-                hubs = dists = counts = ()
                 arr, bits, b, vmap = array("Q"), 0, None, {}
             packed.append(arr)
             canon.append(bits)
             big.append(b)
             maps.append(vmap)
-            if dist_views:
-                dists_of.append(dict(zip(hubs, dists)))
-                rows = list(zip(dists, hubs, counts))
-                bydist_of.append(sorted(map(row_of, rows, rows), key=_first))
         store._maps = maps
         return store
 
@@ -326,10 +322,6 @@ class LabelStore:
         snap.big = list(self.big)
         if self._maps is not None:
             snap._maps = list(self._maps)
-        if self._dists is not None:
-            snap._dists = list(self._dists)
-        if self._bydist is not None:
-            snap._bydist = list(self._bydist)
         snap._frozen = True
         if not self._frozen:
             # Invalidate all per-vertex ownership: everything is shared
@@ -378,10 +370,6 @@ class LabelStore:
             self.big[v] = dict(b)
         if self._maps is not None:
             self._maps[v] = dict(self._maps[v])
-        if self._dists is not None:
-            self._dists[v] = dict(self._dists[v])
-        if self._bydist is not None:
-            self._bydist[v] = list(self._bydist[v])
 
     def _claim(self, v: int) -> None:
         """Ownership without copying — for wholesale replacement of ``v``'s
@@ -471,98 +459,40 @@ class LabelStore:
     # ------------------------------------------------------------------
     def ensure_maps(self) -> list[dict[int, tuple[int, int, bool]]]:
         """Materialize (once) the per-vertex ``{hub: (dist, count,
-        canonical)}`` maps.
+        canonical)}`` maps, each in ascending ``(dist, hub)`` order and
+        with equal value tuples shared, as :meth:`from_flat` builds them.
 
         Kept in sync incrementally by every sorted mutation; raw view
         mutations (which may create structurally invalid states on
         purpose) refresh the touched vertex's map wholesale.
         """
         if self._maps is None:
-            self._maps = [self._build_map(v) for v in range(len(self.packed))]
+            value_of = {}.setdefault
+            self._maps = [self._build_map(v, value_of)
+                          for v in range(len(self.packed))]
         return self._maps
 
-    def _build_map(self, v: int) -> dict[int, tuple[int, int, bool]]:
-        big = self.big[v]
+    def _build_map(self, v: int, value_of=None
+                   ) -> dict[int, tuple[int, int, bool]]:
+        """Vertex ``v``'s map, decoded from its words; ``value_of`` is a
+        ``dict.setdefault`` that shares equal value tuples."""
         bits = self.canon[v]
-        vmap: dict[int, tuple[int, int, bool]] = {}
-        for i, e in enumerate(self.packed[v]):
-            hub = e >> HUB_SHIFT
-            count = e & _COUNT_MASK
-            if count == COUNT_SATURATED and big is not None:
-                count = big.get(hub, count)
-            vmap[hub] = ((e >> COUNT_BITS) & _DIST_MASK, count,
-                         bool(bits >> i & 1))
-        return vmap
+        rows = sorted([
+            ((e >> COUNT_BITS) & _DIST_MASK, e >> HUB_SHIFT,
+             e & _COUNT_MASK, bits >> i & 1 == 1)
+            for i, e in enumerate(self.packed[v])
+        ])
+        big = self.big[v]
+        if big:
+            rows = [(d, h, big.get(h, c) if c == COUNT_SATURATED else c, f)
+                    for d, h, c, f in rows]
+        if value_of is None:
+            value_of = {}.setdefault
+        return {h: value_of((d, c, f), (d, c, f)) for d, h, c, f in rows}
 
     def _refresh_map(self, v: int) -> None:
         if self._maps is not None:
             self._maps[v] = self._build_map(v)
-        m = None
-        if self._bydist is not None or self._dists is not None:
-            m = self._maps[v] if self._maps is not None else self._build_map(v)
-        if self._bydist is not None:
-            self._bydist[v] = sorted(
-                (dc[0], h, dc[1]) for h, dc in m.items()
-            )
-        if self._dists is not None:
-            self._dists[v] = {h: dc[0] for h, dc in m.items()}
-
-    def ensure_dists(self) -> list[dict[int, int]]:
-        """Materialize (once) per-vertex ``{hub: dist}`` probe dicts.
-
-        Probing an int value instead of the full ``(dist, count, flag)``
-        tuple shaves a subscript off every join hit; the query kernels
-        fall back to :attr:`_maps` for counts only on improve/tie.
-        """
-        if self._dists is None:
-            maps = self.ensure_maps()
-            self._dists = [
-                {h: dc[0] for h, dc in m.items()} for m in maps
-            ]
-        return self._dists
-
-    # ------------------------------------------------------------------
-    # Distance-ordered views (early-exit join accelerator)
-    # ------------------------------------------------------------------
-    def ensure_bydist(self) -> list[list[tuple[int, int, int]]]:
-        """Materialize (once) per-vertex ``[(dist, hub, exact_count)]``
-        lists sorted ascending by distance; maintained incrementally like
-        the hub maps."""
-        if self._bydist is None:
-            maps = self.ensure_maps()
-            self._bydist = [
-                sorted((dc[0], h, dc[1]) for h, dc in m.items())
-                for m in maps
-            ]
-        return self._bydist
-
-    def _bydist_replace(
-        self, v: int, old: tuple[int, int, int] | None,
-        new: tuple[int, int, int] | None,
-    ) -> None:
-        """Swap one ``(dist, hub, count)`` element of the sorted-by-dist
-        view (``None`` old = pure insert, ``None`` new = pure delete)."""
-        lst = self._bydist[v]
-        if old is not None:
-            i = bisect_left(lst, old[:2])
-            # (dist, hub) is unique, so lst[i] is the element (its count
-            # may differ from `old`'s only in corrupt states).
-            if i < len(lst) and lst[i][:2] == old[:2]:
-                del lst[i]
-        if new is not None:
-            i = bisect_left(lst, new)
-            lst.insert(i, new)
-
-    def _exact_at(self, v: int, i: int) -> tuple[int, int, int]:
-        """``(dist, hub, exact_count)`` of entry ``i`` (bydist element)."""
-        e = self.packed[v][i]
-        hub = e >> HUB_SHIFT
-        count = e & _COUNT_MASK
-        if count == COUNT_SATURATED:
-            b = self.big[v]
-            if b is not None:
-                count = b.get(hub, count)
-        return ((e >> COUNT_BITS) & _DIST_MASK, hub, count)
 
     # ------------------------------------------------------------------
     # Mutation (sorted fast paths — used by dynamic maintenance)
@@ -581,10 +511,6 @@ class LabelStore:
         """Overwrite entry ``i`` in place (hub may stay or change)."""
         self._own(v)
         old_hub = self.packed[v][i] >> HUB_SHIFT
-        if self._bydist is not None:
-            self._bydist_replace(
-                v, self._exact_at(v, i), (dist, hub, count)
-            )
         self.packed[v][i] = _pack(hub, dist, count)
         if flag:
             self.canon[v] |= 1 << i
@@ -599,9 +525,13 @@ class LabelStore:
         else:
             self._set_big(v, hub, count)
             if self._maps is not None:
-                self._maps[v][hub] = (dist, count, flag)
-            if self._dists is not None:
-                self._dists[v][hub] = dist
+                vmap = self._maps[v]
+                old = vmap.get(hub)
+                if old is not None and old[0] == dist:
+                    vmap[hub] = (dist, count, flag)  # keeps its place
+                else:
+                    vmap.pop(hub, None)
+                    _place(vmap, hub, (dist, count, flag))
 
     def insert_sorted(self, v: int, hub: int, dist: int, count: int,
                       flag: bool) -> int:
@@ -620,11 +550,7 @@ class LabelStore:
         self.canon[v] = ((bits >> i) << (i + 1)) | (int(flag) << i) | low
         self._set_big(v, hub, count)
         if self._maps is not None:
-            self._maps[v][hub] = (dist, count, flag)
-        if self._dists is not None:
-            self._dists[v][hub] = dist
-        if self._bydist is not None:
-            self._bydist_replace(v, None, (dist, hub, count))
+            _place(self._maps[v], hub, (dist, count, flag))
         return i
 
     def delete_at(self, v: int, i: int) -> None:
@@ -632,8 +558,6 @@ class LabelStore:
         self._own(v)
         arr = self.packed[v]
         hub = arr[i] >> HUB_SHIFT
-        if self._bydist is not None:
-            self._bydist_replace(v, self._exact_at(v, i), None)
         del arr[i]
         bits = self.canon[v]
         low = bits & ((1 << i) - 1)
@@ -642,9 +566,7 @@ class LabelStore:
         if b is not None:
             b.pop(hub, None)
         if self._maps is not None:
-            self._maps[v].pop(hub, None)
-        if self._dists is not None:
-            self._dists[v].pop(hub, None)
+            self._maps[v].pop(hub, None)  # the rest keep their order
 
     def replace_vertex(self, v: int, entries: Iterable[Entry]) -> None:
         """Wholesale replacement of ``v``'s entries (any order accepted)."""
@@ -679,10 +601,6 @@ class LabelStore:
             self._owner.append(self._epoch)
         if self._maps is not None:
             self._maps.append({})
-        if self._dists is not None:
-            self._dists.append({})
-        if self._bydist is not None:
-            self._bydist.append([])
         if entries:
             self.replace_vertex(v, entries)
         return v
@@ -804,9 +722,8 @@ class LabelStore:
         wire segment at ``view[off:]``; returns the offset just past it.
 
         Takes wholesale ownership of ``v`` (copy-on-write aware), so a
-        snapshot taken before the patch keeps its captured labels.  Any
-        resident query accelerators for ``v`` are dropped rather than
-        patched — they rebuild lazily.
+        snapshot taken before the patch keeps its captured labels.  A
+        resident map for ``v`` is rebuilt from the new words.
         """
         self._claim(v)
         k = int.from_bytes(view[off:off + 4], "little")
@@ -837,15 +754,7 @@ class LabelStore:
                 )
                 off += 12
         self.big[v] = big
-        if self._maps is not None:
-            self._maps[v] = {
-                hub: (dist, count, flag)
-                for hub, dist, count, flag in self.entries(v)
-            }
-        if self._dists is not None:
-            self._dists = None
-        if self._bydist is not None:
-            self._bydist = None
+        self._refresh_map(v)
         return off
 
     # ------------------------------------------------------------------
@@ -874,7 +783,10 @@ def join_min_count(
 
     Iterates the smaller side and probes the larger at C dict speed —
     the measured-fastest CPython join for hub-label sizes (see module
-    docstring).
+    docstring).  Both maps must iterate in ascending distance, as every
+    :class:`LabelStore` map does: once the best sum ``B`` is known, an
+    entry with ``dist > B`` can neither improve nor tie it (probe-side
+    distances are >= 0), so the scan stops there.
     """
     if len(ma) > len(mb):
         ma, mb = mb, ma
@@ -882,9 +794,12 @@ def join_min_count(
     total = 0
     get = mb.get
     for hub, dc in ma.items():
+        d_a = dc[0]
+        if d_a > best:
+            break
         other = get(hub)
         if other is not None:
-            d = dc[0] + other[0]
+            d = d_a + other[0]
             if d < best:
                 best = d
                 total = dc[1] * other[1]
@@ -893,65 +808,22 @@ def join_min_count(
     return best, total
 
 
-def join_bydist_min_count(
-    items_a: list[tuple[int, int, int]],
-    map_b: dict[int, tuple[int, int, bool]],
-) -> tuple[int, int]:
-    """Early-exit variant of :func:`join_min_count`: ``items_a`` is one
-    side's distance-sorted ``(dist, hub, count)`` view, probed against the
-    other side's hub map.  Once the best sum ``B`` is known, any element
-    with ``dist > B`` can neither improve nor tie it (probe-side
-    distances are >= 0), so the scan stops there."""
-    best = UNREACHED
-    total = 0
-    get = map_b.get
-    for t in items_a:
-        d_a = t[0]
-        if d_a > best:
-            break
-        other = get(t[1])
-        if other is not None:
-            d = d_a + other[0]
-            if d < best:
-                best = d
-                total = t[2] * other[1]
-            elif d == best:
-                total += t[2] * other[1]
-    return best, total
-
-
-def join_bydist_min_dist(
-    items_a: list[tuple[int, int, int]],
-    dists_b: dict[int, int],
-) -> int:
-    """Distance-only early-exit join: ``items_a`` is a distance-sorted
-    ``(dist, hub, count)`` view, ``dists_b`` a ``{hub: dist}`` probe
-    dict."""
-    best = UNREACHED
-    get = dists_b.get
-    for d_a, h, _c in items_a:
-        if d_a > best:
-            break
-        other = get(h)
-        if other is not None:
-            d = d_a + other
-            if d < best:
-                best = d
-    return best
-
-
 def join_min_dist(
     ma: dict[int, tuple[int, int]], mb: dict[int, tuple[int, int]]
 ) -> int:
-    """Distance-only variant of :func:`join_min_count`."""
+    """Distance-only variant of :func:`join_min_count` (same order
+    requirement and early exit)."""
     if len(ma) > len(mb):
         ma, mb = mb, ma
     best = UNREACHED
     get = mb.get
     for hub, dc in ma.items():
+        d_a = dc[0]
+        if d_a > best:
+            break
         other = get(hub)
         if other is not None:
-            d = dc[0] + other[0]
+            d = d_a + other[0]
             if d < best:
                 best = d
     return best

@@ -2,9 +2,9 @@
 
 :func:`repro.build.build_label_tables` hands the BFS's flat entry lists
 to :meth:`LabelStore.from_flat`, which builds the packed words and the
-accelerators its index kind keeps eagerly (CSC: ``_maps``, ``_dists``,
-``_bydist``; HP-SPC: ``_maps``).  Each must equal what a store loaded
-from the same bytes builds lazily.  The byte layout itself is pinned by
+``_maps`` query accelerator, in ``(dist, hub)`` order, for both index
+kinds.  The maps must equal, order included, what a store loaded from
+the same bytes builds lazily.  The byte layout itself is pinned by
 ``test_build_digest.py``.
 """
 
@@ -22,6 +22,7 @@ from repro.labeling.hpspc import HPSPCIndex
 from repro.labeling.labelstore import COUNT_SATURATED, LabelStore
 from repro.labeling.packing import DISTANCE_BITS, VERTEX_BITS
 from repro.workloads.fraud import make_transaction_network
+from tests.properties.invariants import assert_maps_match_packed
 
 
 def closed_diamond_chain(k: int) -> DiGraph:
@@ -73,17 +74,13 @@ class TestEagerAccelerators:
         index = kind.build(g)
         for store in (index.store_in, index.store_out):
             eager_maps = store._maps
-            eager_dists, eager_bydist = store._dists, store._bydist
-            if kind is CSCIndex:
-                assert eager_dists is not None and eager_bydist is not None
-            else:
-                assert eager_dists is None and eager_bydist is None
+            assert eager_maps is not None
             lazy = LabelStore.from_bytes(store.to_bytes())
             assert lazy._maps is None  # nothing built until asked
-            assert eager_maps == lazy.ensure_maps()
-            if kind is CSCIndex:
-                assert eager_dists == lazy.ensure_dists()
-                assert eager_bydist == lazy.ensure_bydist()
+            lazy_maps = lazy.ensure_maps()
+            assert ([list(m.items()) for m in eager_maps]
+                    == [list(m.items()) for m in lazy_maps])
+            assert_maps_match_packed(store)
             assert store.to_lists() == lazy.to_lists()
 
     @pytest.mark.parametrize("kind", [CSCIndex, HPSPCIndex],
@@ -95,12 +92,8 @@ class TestEagerAccelerators:
         _, g = graph
         index = kind.build(g)
         for store in (index.store_in, index.store_out):
-            views = [[v for m in store._maps for v in m.values()]]
-            if kind is CSCIndex:
-                views.append([row for rows in store._bydist
-                              for row in rows])
-            for view in views:
-                assert len({id(t) for t in view}) == len(set(view))
+            values = [v for m in store._maps for v in m.values()]
+            assert len({id(t) for t in values}) == len(set(values))
 
     def test_saturated_counts_stay_exact(self):
         index = CSCIndex.build(GRAPHS["saturated"]())
@@ -120,33 +113,42 @@ def flat(tables):
     return [[x for entry in entries for x in entry] for entries in tables]
 
 
+def pack(tables, via_lists):
+    """Pack a tuple table through either construction entry point."""
+    if via_lists:
+        return LabelStore.from_lists(tables)
+    return LabelStore.from_flat(flat(tables))
+
+
 class TestFromFlat:
     def test_dist_views_match_the_lazy_ones(self):
+        """The maps packing sorts by distance equal, order included, the
+        ones a loaded store builds from its words."""
         tables = [
             [(0, 0, 1, True), (2, 3, 5, False), (7, 4, 1 << 30, True)],
             [],
             [(h, h % 5, h + 1, h % 3 == 0) for h in range(20)],
         ]
-        store = LabelStore.from_flat(flat(tables), True)
-        ref = LabelStore.from_lists(tables)
-        assert ref._dists is None and ref._bydist is None
-        assert store.to_bytes() == ref.to_bytes()
+        store = LabelStore.from_flat(flat(tables))
+        ref = LabelStore.from_bytes(store.to_bytes())
+        assert store.to_bytes() == LabelStore.from_lists(tables).to_bytes()
         assert store.big == [{7: 1 << 30}, None, None]
-        assert store._maps == ref._maps
-        assert store._dists == ref.ensure_dists()
-        assert store._bydist == ref.ensure_bydist()
+        assert ([list(m.items()) for m in store._maps]
+                == [list(m.items()) for m in ref.ensure_maps()])
+        assert list(store._maps[2])[:5] == [0, 5, 10, 15, 1]
+        assert_maps_match_packed(store)
 
-    @pytest.mark.parametrize("dist_views", [False, True])
-    def test_vertex_overflow_raises(self, dist_views):
+    @pytest.mark.parametrize("via_lists", [False, True])
+    def test_vertex_overflow_raises(self, via_lists):
+        table = [[(1 << VERTEX_BITS, 0, 1, True)]]
         with pytest.raises(PackingOverflowError):
-            LabelStore.from_flat(flat([[(1 << VERTEX_BITS, 0, 1, True)]]),
-                                 dist_views)
+            pack(table, via_lists)
 
-    @pytest.mark.parametrize("dist_views", [False, True])
-    def test_distance_overflow_raises(self, dist_views):
+    @pytest.mark.parametrize("via_lists", [False, True])
+    def test_distance_overflow_raises(self, via_lists):
+        table = [[(0, 1 << DISTANCE_BITS, 1, True)]]
         with pytest.raises(PackingOverflowError):
-            LabelStore.from_flat(flat([[(0, 1 << DISTANCE_BITS, 1, True)]]),
-                                 dist_views)
+            pack(table, via_lists)
 
     def test_overflow_past_the_first_entry_raises(self):
         entries = [(0, 1, 1, True), (1, 1 << DISTANCE_BITS, 1, False)]
@@ -189,15 +191,15 @@ class TestPausedGc:
         seen = []
         from_flat = LabelStore.from_flat.__func__
 
-        def spy(cls, flats, dist_views):
-            seen.append((gc.isenabled(), dist_views))
-            return from_flat(cls, flats, dist_views)
+        def spy(cls, flats):
+            seen.append(gc.isenabled())
+            return from_flat(cls, flats)
 
         monkeypatch.setattr(LabelStore, "from_flat", classmethod(spy))
         gc.enable()
         CSCIndex.build(GRAPHS["fraud"]())
         HPSPCIndex.build(GRAPHS["fraud"]())
-        assert seen == [(False, True)] * 2 + [(False, False)] * 2
+        assert seen == [False] * 4
         assert gc.isenabled()
 
     def test_overlapping_pauses_end_enabled(self, restore_gc):

@@ -13,13 +13,12 @@ from repro.labeling.labelstore import (
     LabelStore,
     LabelTable,
     LabelView,
-    join_bydist_min_count,
-    join_bydist_min_dist,
     join_min_count,
     join_min_dist,
     UNREACHED,
 )
 from repro.labeling.packing import COUNT_BITS, DISTANCE_BITS, VERTEX_BITS
+from tests.properties.invariants import assert_maps_match_packed
 
 
 SAMPLE = [
@@ -182,20 +181,129 @@ class TestJoinKernels:
         )
 
     def test_bydist_join_matches_map_join(self):
+        """The early-exit join over distance-ordered maps equals a join
+        over every common hub."""
         ma = {0: (1, 2, True), 1: (2, 3, True), 7: (9, 1, False)}
-        mb = {0: (2, 5, True), 1: (1, 4, True), 7: (0, 2, True)}
-        items = sorted((dc[0], h, dc[1]) for h, dc in ma.items())
-        dists = {h: dc[0] for h, dc in mb.items()}
-        assert join_bydist_min_count(items, mb) == join_min_count(ma, mb)
-        assert join_bydist_min_dist(items, dists) == join_min_dist(ma, mb)
+        mb = {7: (0, 2, True), 1: (1, 4, True), 0: (2, 5, True)}
+        sums = {h: (ma[h][0] + mb[h][0], ma[h][1] * mb[h][1]) for h in ma}
+        best = min(d for d, _ in sums.values())
+        want = (best, sum(c for d, c in sums.values() if d == best))
+        assert join_min_count(ma, mb) == join_min_count(mb, ma) == want
+        assert join_min_dist(ma, mb) == join_min_dist(mb, ma) == best
 
     def test_bydist_join_early_exit_keeps_ties(self):
-        # two entries at the tie distance, then a far entry after the
-        # cutoff that must not be visited (its hub would corrupt counts)
-        items = [(1, 0, 2), (1, 1, 3), (50, 2, 1)]
-        mb = {0: (2, 5, True), 1: (2, 4, True), 2: (0, 1000, True)}
-        d, c = join_bydist_min_count(items, mb)
-        assert (d, c) == (3, 2 * 5 + 3 * 4)
+        # two entries at the tie distance, then a far entry past the
+        # cutoff; the scan stops there without dropping either tie
+        ma = {0: (1, 2, True), 1: (1, 3, True), 2: (50, 1, True)}
+        mb = {2: (0, 1000, True), 0: (2, 5, True), 1: (2, 4, True)}
+        assert join_min_count(ma, mb) == (3, 2 * 5 + 3 * 4)
+        assert join_min_dist(ma, mb) == 3
+
+
+#: One vertex whose hub order and ``(dist, hub)`` order differ, with
+#: distance ties: its map iterates hubs 4, 1, 6, 0, 3, 8.
+RICH = [[(0, 2, 1, True), (1, 1, 2, False), (3, 2, 3, True),
+         (4, 0, 4, True), (6, 1, 5, False), (8, 3, 6, True)]]
+
+
+def rich_store():
+    store = LabelStore.from_lists(RICH)
+    assert list(store._maps[0]) == [4, 1, 6, 0, 3, 8]
+    return store
+
+
+class TestDistanceOrder:
+    """Every mutator keeps each map equal to its vertex's packed entries
+    and iterating in ascending ``(dist, hub)`` order."""
+
+    def check(self, store, hubs):
+        assert_maps_match_packed(store)
+        assert list(store._maps[0]) == hubs
+
+    def test_set_at_same_distance_keeps_place(self):
+        store = rich_store()
+        store.set_at(0, 2, 3, 2, 9, False)
+        self.check(store, [4, 1, 6, 0, 3, 8])
+        assert store._maps[0][3] == (2, 9, False)
+
+    def test_set_at_new_distance_moves(self):
+        store = rich_store()
+        store.set_at(0, 2, 3, 0, 3, True)  # hub 3: 2 -> 0, ahead of 4
+        self.check(store, [3, 4, 1, 6, 0, 8])
+        store.set_at(0, 0, 0, 7, 1, True)  # hub 0: 2 -> 7, last
+        self.check(store, [3, 4, 1, 6, 8, 0])
+
+    def test_set_at_new_hub_refreshes(self):
+        store = rich_store()
+        store.set_at(0, 0, 2, 1, 1, True)  # hub 0 becomes hub 2
+        self.check(store, [4, 1, 2, 6, 3, 8])
+
+    @pytest.mark.parametrize("hub, dist, hubs", [
+        (2, 0, [2, 4, 1, 6, 0, 3, 8]),   # head
+        (5, 1, [4, 1, 5, 6, 0, 3, 8]),   # middle, between ties
+        (9, 3, [4, 1, 6, 0, 3, 8, 9]),   # tail, after a tie
+        (7, 5, [4, 1, 6, 0, 3, 8, 7]),   # tail, farther than all
+    ])
+    def test_insert_sorted_places(self, hub, dist, hubs):
+        store = rich_store()
+        store.insert_sorted(0, hub, dist, 1, False)
+        self.check(store, hubs)
+
+    def test_insert_sorted_into_empty(self):
+        store = LabelStore.from_lists([[]])
+        store.insert_sorted(0, 3, 2, 1, True)
+        assert_maps_match_packed(store)
+        assert store._maps[0] == {3: (2, 1, True)}
+
+    def test_delete_at(self):
+        store = rich_store()
+        store.delete_at(0, 4)  # hub 6
+        self.check(store, [4, 1, 0, 3, 8])
+
+    def test_replace_vertex(self):
+        store = rich_store()
+        store.replace_vertex(0, [(2, 5, 1, True), (1, 5, 1, False),
+                                 (9, 0, 2, True)])
+        self.check(store, [9, 1, 2])
+
+    def test_set_vertex_from_bytes(self):
+        store = rich_store()
+        other = LabelStore.from_lists([[(1, 4, 1, True), (2, 3, 1, True),
+                                        (5, 3, 2, False)]])
+        blob = other.vertex_to_bytes(0)
+        assert store.set_vertex_from_bytes(0, blob) == len(blob)
+        self.check(store, [2, 5, 1])
+
+    def test_raw_mutators_refresh(self):
+        store = rich_store()
+        store.append_raw(0, (9, 0, 1, True))
+        self.check(store, [4, 9, 1, 6, 0, 3, 8])
+        store.insert_raw(0, 0, (2, 2, 1, False))
+        self.check(store, [4, 9, 1, 6, 0, 2, 3, 8])
+        store.reverse(0)
+        self.check(store, [4, 9, 1, 6, 0, 2, 3, 8])
+
+    def test_add_vertex(self):
+        store = rich_store()
+        v = store.add_vertex([(5, 2, 1, True), (0, 4, 1, True)])
+        assert_maps_match_packed(store)
+        assert list(store._maps[v]) == [5, 0]
+
+    def test_lazy_maps_of_a_loaded_store(self):
+        store = LabelStore.from_bytes(rich_store().to_bytes())
+        assert store._maps is None
+        store.ensure_maps()
+        self.check(store, [4, 1, 6, 0, 3, 8])
+
+    def test_snapshot_keeps_its_order(self):
+        store = rich_store()
+        snap = store.snapshot()
+        store.set_at(0, 2, 3, 0, 3, True)
+        store.insert_sorted(0, 2, 1, 1, False)
+        store.delete_at(0, 5)  # hub 6
+        self.check(store, [3, 4, 1, 2, 0, 8])
+        assert_maps_match_packed(snap)
+        assert list(snap._maps[0]) == [4, 1, 6, 0, 3, 8]
 
 
 def overflow_store():
@@ -333,15 +441,15 @@ class TestSnapshotCOW:
         for mutate in mutations:
             store = make_store()
             store.ensure_maps()
-            store.ensure_dists()
-            store.ensure_bydist()
             snap = store.snapshot()
             mutate(store)
             assert snap.to_lists() == SAMPLE, mutate
-            # shared accelerators must not have drifted either
+            # the shared accelerator must not have drifted either
             assert snap.ensure_maps()[0] == {
                 h: (d, c, f) for h, d, c, f in SAMPLE[0]
             }
+            assert_maps_match_packed(snap)
+            assert_maps_match_packed(store)
 
     def test_overflow_table_copy_on_write(self):
         big = COUNT_SATURATED + 9

@@ -14,7 +14,10 @@ maintenance path must preserve:
   (stale redundancy leftovers are always dominated, never optimistic —
   an optimistic entry would corrupt query minima);
 * the canonical cover answers every cycle query exactly (against the
-  BFS oracle).
+  BFS oracle);
+* each store's query accelerator is exactly its packed entries, in the
+  ``(dist, hub)`` order the early-exit joins rely on
+  (:func:`assert_maps_match_packed`).
 
 ``assert_minimal_entries`` adds the minimality-strategy guarantee: every
 surviving entry's distance is *exact*.
@@ -28,6 +31,7 @@ from repro.graph.bipartite import (
     out_vertex,
 )
 from repro.graph.traversal import INF, bfs_distance_between
+from repro.labeling.labelstore import LabelStore
 
 
 def _true_gb_distances(index: CSCIndex):
@@ -42,11 +46,26 @@ def _true_gb_distances(index: CSCIndex):
     return d_in, d_out
 
 
+def assert_maps_match_packed(store: LabelStore) -> None:
+    """Every resident ``_maps[v]`` equals the decode of ``packed[v]``,
+    ``canon[v]`` and ``big[v]`` and iterates in ascending ``(dist,
+    hub)``."""
+    if store._maps is None:
+        return
+    assert len(store._maps) == len(store.packed)
+    for v, vmap in enumerate(store._maps):
+        want = sorted((d, h, c, f) for h, d, c, f in store.entries(v))
+        got = [(d, h, c, f) for h, (d, c, f) in vmap.items()]
+        assert got == want, f"vertex {v}: map {got} != packed {want}"
+
+
 def assert_label_invariants(index: CSCIndex) -> None:
     """Invariants every maintenance path (per-edge, batched, and the
     batch rebuild fallback) must leave intact."""
     problems = index.validate()
     assert problems == [], problems
+    assert_maps_match_packed(index.store_in)
+    assert_maps_match_packed(index.store_out)
     d_in, d_out = _true_gb_distances(index)
     for v in index.graph.vertices():
         for q, d, _c, _f in index.label_in[v]:

@@ -18,6 +18,7 @@ from repro.core.maintenance import STRATEGIES, delete_edge, insert_edge
 from tests.conftest import digraphs
 from tests.properties.invariants import (
     assert_label_invariants,
+    assert_maps_match_packed,
     assert_minimal_entries,
 )
 
@@ -78,6 +79,9 @@ def test_batch_matches_sequential_and_rebuild(case, strategy):
     apply_batch(batched, ops, strategy, rebuild_threshold=2.0)
 
     assert batched.graph == sequential.graph
+    for index in (sequential, batched):
+        assert_maps_match_packed(index.store_in)
+        assert_maps_match_packed(index.store_out)
     rebuilt = CSCIndex.build(batched.graph.copy())
     for v in g.vertices():
         expected = sequential.sccnt(v)

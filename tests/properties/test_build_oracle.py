@@ -62,8 +62,8 @@ def _assert_matches_oracle(graph, order) -> None:
                                              kernel=hub_bfs)
         assert got_in == want_in, name
         assert got_out == want_out, name
-        want = kind(graph, order, pos, LabelStore.from_flat(want_in, csc),
-                    LabelStore.from_flat(want_out, csc))
+        want = kind(graph, order, pos, LabelStore.from_flat(want_in),
+                    LabelStore.from_flat(want_out))
         assert kind.build(graph, order).to_bytes() == want.to_bytes(), name
 
 

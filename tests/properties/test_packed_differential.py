@@ -4,7 +4,7 @@ implementation.
 The packed :class:`~repro.labeling.labelstore.LabelStore` and its
 merge-join kernels replaced the seed's list-of-tuples representation on
 every hot path.  These properties pin the replacement to the frozen seed
-kernels (:mod:`repro.core.legacy_labels`) across random graphs and update
+kernels (:mod:`tests.properties.legacy_labels`) across random graphs and update
 streams: identical cycle counts from ``sccnt``, identical distances from
 ``qdist_in_in`` / ``qdist_out_in`` / ``cycle_gb_distance``, identical
 ``spcnt`` from HP-SPC, and a lossless round-trip between the packed store
@@ -15,17 +15,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.csc import CSCIndex
-from repro.core.legacy_labels import (
+from repro.core.maintenance import delete_edge, insert_edge
+from repro.labeling.hpspc import HPSPCIndex
+from repro.labeling.labelstore import LabelStore
+from tests.conftest import digraphs
+from tests.properties.legacy_labels import (
     legacy_cycle_gb_distance,
     legacy_merge_labels,
     legacy_qdist_in_in,
     legacy_qdist_out_in,
     legacy_sccnt,
 )
-from repro.core.maintenance import delete_edge, insert_edge
-from repro.labeling.hpspc import HPSPCIndex
-from repro.labeling.labelstore import LabelStore
-from tests.conftest import digraphs
 
 
 @st.composite

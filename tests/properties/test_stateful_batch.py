@@ -23,6 +23,7 @@ from hypothesis.stateful import (
 from repro.baselines.naive import naive_cycle_count
 from repro.core.counter import ShortestCycleCounter
 from repro.graph.digraph import DiGraph
+from tests.properties.invariants import assert_maps_match_packed
 
 N = 6  # naive enumeration is exponential; keep the state space tiny
 
@@ -97,6 +98,12 @@ class BatchedCounterMachine(RuleBasedStateMachine):
         g = self.counter.graph
         for v in g.vertices():
             assert self.counter.count(v) == naive_cycle_count(g, v)
+
+    @invariant()
+    def maps_match_packed(self):
+        index = self.counter.index
+        assert_maps_match_packed(index.store_in)
+        assert_maps_match_packed(index.store_out)
 
 
 TestBatchedCounterMachine = BatchedCounterMachine.TestCase
